@@ -165,15 +165,6 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
     return r
 
 
-def coprime_count(q: int) -> int:
-    """Euler totient of |q| by direct factorization (single values, no sieve)."""
-    n = abs(q)
-    result = n
-    for p, _ in factorize(n):
-        result -= result // p
-    return result
-
-
 __all__ = [
     "xgcd",
     "gcd",
@@ -185,5 +176,4 @@ __all__ = [
     "mobius_sieve",
     "primes_up_to",
     "sqrt_mod_prime",
-    "coprime_count",
 ]

@@ -15,7 +15,6 @@ import datetime
 import io
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field as dc_field
 
@@ -64,7 +63,6 @@ class RunConfig:
     method: str | None = None
     output: str = "-"
     format: str = "json"
-    threads: int = 1
     tolerance: float | None = None
 
     def validate(self) -> None:
@@ -82,8 +80,6 @@ class RunConfig:
             raise CliError("bad-method", f"unknown method {self.method!r}")
         if self.format not in ("json", "csv"):
             raise CliError("bad-format", f"unknown format {self.format!r}")
-        if self.threads < 1:
-            raise CliError("bad-threads", "--threads must be >= 1")
         if self.tolerance is not None and self.tolerance <= 0:
             raise CliError("bad-tolerance", "--tolerance must be positive")
 
@@ -114,17 +110,14 @@ def _methods_for(config: RunConfig) -> list[str]:
 def _cmd_count(config: RunConfig) -> tuple[list[dict], dict]:
     f = config.field
     methods = _methods_for(config)
-    if "mobius" in methods and not f.is_rational and f.h != 1:
-        raise CliError(
-            "unsupported-field",
-            f"mobius counting needs class number 1; {f!r} has h={f.h}",
-        )
+    for m in methods:
+        try:
+            counting.resolve_method(f, m)
+        except UnsupportedFieldError as exc:
+            raise CliError("unsupported-field", str(exc)) from None
     rows = []
     top = int(config.cutoffs[-1])
-    profiles = {
-        m: counting.phi_profile(f, top, method=m, threads=config.threads)
-        for m in methods
-    }
+    profiles = {m: counting.phi_profile(f, top, method=m) for m in methods}
     for x in config.cutoffs:
         predicted = counting.phi_asymptotic(f, x)
         for m in methods:
@@ -160,12 +153,15 @@ def _cmd_classnum(config: RunConfig) -> tuple[list[dict], dict]:
 
 def _cmd_depths(config: RunConfig) -> tuple[list[dict], dict]:
     f = config.field
+    method = counting.resolve_method(f)
+    cutoffs = [geodesics.depth_cutoff(f, t) for t in config.cutoffs]
+    profile = counting.phi_profile(f, cutoffs[-1], method=method)
     rows = []
-    for t in config.cutoffs:
-        value = geodesics.depth_counting(f, t, threads=config.threads)
+    for t, cutoff in zip(config.cutoffs, cutoffs):
+        value = profile[cutoff]
         x_equiv = math.exp(t / 2 if f.is_rational else t)
         predicted = counting.phi_asymptotic(f, x_equiv)
-        row = _provenance(f, value, "auto")
+        row = _provenance(f, value, method)
         row["x_or_t"] = t
         row["predicted"] = predicted
         row["ratio"] = value / predicted if predicted else None
@@ -260,10 +256,10 @@ def _cmd_poincare(config: RunConfig) -> tuple[list[dict], dict]:
 # verify: the cross-method / property suite
 # ----------------------------------------------------------------------
 
-def _verify_checks(f: FieldSpec, bound: int, threads: int):
+def _verify_checks(f: FieldSpec, bound: int):
     """Yield (name, passed, detail) for each property check."""
     x_small = min(bound, 300)
-    brute = counting.phi_profile(f, x_small, method="brute", threads=threads)
+    brute = counting.phi_profile(f, x_small, method="brute")
     if f.is_rational or f.h == 1:
         mob = counting.phi_profile(f, x_small, method="mobius")
         yield (
@@ -372,8 +368,8 @@ def _cmd_verify(config: RunConfig) -> tuple[list[dict], dict]:
     bound = int(config.cutoffs[-1])
     rows = []
     failures = 0
-    for name, passed, detail in _verify_checks(config.field, bound, config.threads):
-        print(f"{'PASS' if passed else 'FAIL'}  {name:<24} {detail}")
+    for name, passed, detail in _verify_checks(config.field, bound):
+        print(f"{'PASS' if passed else 'FAIL'}  {name:<24} {detail}", file=sys.stderr)
         rows.append({"check": name, "passed": passed, "detail": detail})
         failures += 0 if passed else 1
     return rows, {"failures": failures}
@@ -404,7 +400,6 @@ def _render_json(config: RunConfig, rows: list[dict], extras: dict) -> str:
             "cutoffs": config.cutoffs,
             "s": config.s,
             "method": config.method,
-            "threads": config.threads,
             "tolerance": config.tolerance,
         },
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -519,12 +514,6 @@ def build_config(argv: list[str]) -> RunConfig:
     parser.add_argument("--method", choices=["brute", "mobius", "both"])
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=int(os.environ.get("HOROCOUNT_THREADS", "1")),
-        help="worker-pool size (default: HOROCOUNT_THREADS or 1)",
-    )
     parser.add_argument("--tolerance", type=float)
     ns = parser.parse_args(argv)
     return RunConfig(
@@ -535,7 +524,6 @@ def build_config(argv: list[str]) -> RunConfig:
         method=ns.method,
         output=ns.output,
         format=ns.format,
-        threads=ns.threads,
         tolerance=ns.tolerance,
     )
 

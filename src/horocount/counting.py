@@ -1,25 +1,29 @@
 """Counting coprime fractions p/q mod O by denominator norm.
 
-Two exact routes are implemented and must agree integer-for-integer:
+phi(x) counts the classes p/q mod O with (p, q) = 1 and 0 < N(q) <= x.  It
+changes value only at integer cutoffs, so each method is a kernel that
+returns the increments inc[n], the classes with N(q) = n, for every
+n <= floor(x) in one pass.  phi_profile is the one dispatcher: it runs a
+kernel and sums the increments into [phi(0), ..., phi(floor(x))], and phi(x)
+is the last entry.  Where two methods apply they must agree
+integer-for-integer:
 
-* brute force -- enumerate denominators up to the norm cutoff (one
-  representative per unit orbit) and count coprime residues directly;
-* Moebius sieve -- phi(x) = sum over squarefree ideals I of
-  mu(I) * T_I(x) / N(I), with T_I(x) the norm sum over principal ideals
-  inside I (class-number-1 fields only; see phi_mobius).
+* brute -- enumerate denominators (one representative per unit orbit) and
+  count coprime residues directly; every field.  It is the oracle, so it
+  shares no logic with the other two;
+* mobius -- phi(x) = sum over squarefree ideals I of mu(I) * T_I(x) / N(I),
+  with T_I(x) the norm sum over principal ideals inside I; Q and
+  class-number-1 fields;
+* sieve -- the Euler totient sieve; Q only.
 
-Both change value only at integer cutoffs, so the table variants return
-the whole profile up to floor(x) at the cost of a single pass.
+resolve_method maps 'auto' to the sieve over Q, mobius when h = 1 and brute
+otherwise, and rejects a method the field does not support.
 """
 
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
-from math import log
 
 import numpy as np
 
@@ -28,6 +32,7 @@ from .field import (
     FieldSpec,
     RingElement,
     UnsupportedFieldError,
+    make_field,
     mul,
     norm,
     omega_times,
@@ -37,6 +42,7 @@ from .field import (
 )
 from .ideals import (
     LatticeIdeal,
+    _norm_form,
     count_and_sum_norms,
     enumerate_norm_le,
     mobius_ideal,
@@ -89,104 +95,129 @@ def _coprime_count_box(f: FieldSpec, q: RingElement) -> int:
     ideal = principal_ideal(f, q)
     xs = np.arange(ideal.alpha, dtype=np.int64)[None, :]
     ys = np.arange(ideal.gamma, dtype=np.int64)[:, None]
-    d = f.d
-    assert d is not None
     if f.half_basis:
-        m = f.half_m
-        np_arr = xs * xs + xs * ys + m * ys * ys
-        pw_a, pw_b = -m * ys, xs + ys
+        pw_a, pw_b = -f.half_m * ys, xs + ys
     else:
-        np_arr = xs * xs + d * ys * ys
-        pw_a, pw_b = -d * ys, xs
+        pw_a, pw_b = -f.d * ys, xs
     qw = omega_times(f, q)
-    g = np.gcd(np_arr, norm(f, q))
+    g = np.gcd(_norm_form(f, xs, ys), norm(f, q))
     g = np.gcd(g, xs * q.b - q.a * ys)
     g = np.gcd(g, xs * qw.b - qw.a * ys)
     g = np.gcd(g, pw_a * q.b - q.a * pw_b)
     return int(np.count_nonzero(g == 1))
 
 
-def _chunks(items: list, n: int) -> list[list]:
-    if n <= 1 or len(items) <= 1:
-        return [items]
-    size = (len(items) + n - 1) // n
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
-def _brute_increments(f: FieldSpec, bound: int, threads: int) -> np.ndarray:
+def _brute_increments(f: FieldSpec, bound: int) -> np.ndarray:
     """inc[n] = sum of Phi(q) over orbit representatives with N(q) = n."""
     inc = np.zeros(bound + 1, dtype=np.int64)
     if f.is_rational:
         base = np.arange(bound + 1, dtype=np.int64)
-
-        def do_range(qs: list[int]) -> np.ndarray:
-            out = np.zeros(bound + 1, dtype=np.int64)
-            for q in qs:
-                out[q] = 1 if q == 1 else int(
-                    np.count_nonzero(np.gcd(base[1:q], q) == 1)
-                )
-            return out
-
-        parts = _chunks(list(range(1, bound + 1)), threads)
-        if len(parts) == 1:
-            return do_range(parts[0])
-        with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-            for part in pool.map(do_range, parts):
-                inc += part
+        for q in range(1, bound + 1):
+            inc[q] = 1 if q == 1 else np.count_nonzero(np.gcd(base[1:q], q) == 1)
         return inc
+    for q in unit_orbit_reps(f, bound):
+        inc[norm(f, q)] += _coprime_count_box(f, q)
+    return inc
 
-    reps = unit_orbit_reps(f, bound)
 
-    def do_reps(qs: list[RingElement]) -> np.ndarray:
-        out = np.zeros(bound + 1, dtype=np.int64)
-        for q in qs:
-            out[norm(f, q)] += _coprime_count_box(f, q)
-        return out
+def _mobius_increments(f: FieldSpec, bound: int) -> np.ndarray:
+    """inc[n] = the norm-n terms of sum over squarefree I of mu(I) T_I / N(I).
 
-    parts = _chunks(reps, threads)
-    if len(parts) == 1:
-        return do_reps(parts[0])
-    with ThreadPoolExecutor(max_workers=len(parts)) as pool:
-        for part in pool.map(do_reps, parts):
-            inc += part
+    A principal ideal (q) inside I with N(q) = n adds mu(I) * n / N(I); over
+    Q the ideals are (n) and their multiples k*n each add mu(n) * k.
+    """
+    inc = np.zeros(bound + 1, dtype=np.int64)
+    if f.is_rational:
+        mu = mobius_sieve(bound)
+        for n in range(1, bound + 1):
+            if mu[n]:
+                inc[n::n] += mu[n] * np.arange(1, bound // n + 1, dtype=np.int64)
+        return inc
+    for q in unit_orbit_reps(f, bound):
+        ideal = principal_ideal(f, q)
+        m = mobius_ideal(f, ideal)
+        if m == 0:
+            continue
+        hist = norm_histogram(f, ideal, bound)
+        hits = hist[:: ideal.norm]  # hits[k]: elements of norm k * N(I)
+        # N(I) divides every norm in I, and the w units act freely
+        assert hits.sum() == hist.sum() and not (hits % f.w).any()
+        inc[:: ideal.norm] += m * (hits // f.w) * np.arange(len(hits), dtype=np.int64)
     return inc
 
 
 # ----------------------------------------------------------------------
-# phi: brute force
+# phi: the one dispatcher
 # ----------------------------------------------------------------------
 
-def phi_profile(f: FieldSpec, x: float, method: str = "brute", threads: int = 1) -> list[int]:
+def resolve_method(f: FieldSpec, method: str = "auto") -> str:
+    """The method phi_profile runs: 'auto' is the sieve over Q, the Moebius
+    route when h = 1 and brute force otherwise.
+
+    Raises UnsupportedFieldError for a method the field lacks (the sieve is
+    rational-only, the Moebius route needs h = 1) and ValueError for an
+    unknown one.
+    """
+    if method == "auto":
+        return "sieve" if f.is_rational else ("mobius" if f.h == 1 else "brute")
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
+    if method == "sieve" and not f.is_rational:
+        raise UnsupportedFieldError("the totient sieve is a rational-field method")
+    if method == "mobius" and not f.is_rational and f.h != 1:
+        raise UnsupportedFieldError(
+            f"Moebius sieve needs class number 1, but {f!r} has h = {f.h}; "
+            "use the brute-force method"
+        )
+    return method
+
+
+def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
     """[phi(0), phi(1), ..., phi(floor(x))] computed in one pass."""
+    method = resolve_method(f, method)
     bound = int(x)
     if bound < 1:
-        return [0] * (bound + 1) if bound >= 0 else []
+        return [0] * (bound + 1)
     if method == "brute":
-        inc = _brute_increments(f, bound, threads)
-        return [int(v) for v in np.cumsum(inc)]
-    if method == "mobius":
-        return _mobius_profile(f, bound)
-    if method == "sieve":
-        if not f.is_rational:
-            raise UnsupportedFieldError("the totient sieve is a rational-field method")
-        return list(np.cumsum(totient_sieve(bound)))
-    raise ValueError(f"unknown method {method!r}")
+        inc = _brute_increments(f, bound)
+    elif method == "mobius":
+        inc = _mobius_increments(f, bound)
+    else:
+        inc = totient_sieve(bound)
+    return [int(v) for v in np.cumsum(inc)]
 
 
-def phi_bruteforce(f: FieldSpec, x: float, threads: int = 1) -> int:
-    """phi(x): fractions p/q mod O with (p, q) = 1 and 0 < N(q) <= x."""
+def phi(f: FieldSpec, x: float, method: str = "auto") -> int:
+    """phi(x): fractions p/q mod O with (p, q) = 1 and 0 < N(q) <= x.
+
+    The last entry of phi_profile; 'auto' is resolved by resolve_method.
+    """
+    method = resolve_method(f, method)
     if x < 1:
         warnings.warn("phi(x) with x < 1 counts no denominators", RuntimeWarning)
         return 0
-    bound = int(x)
-    return int(_brute_increments(f, bound, threads).sum())
+    return phi_profile(f, x, method)[-1]
+
+
+def phi_bruteforce(f: FieldSpec, x: float) -> int:
+    """phi(x) by direct residue counting; every field."""
+    return phi(f, x, "brute")
+
+
+def phi_mobius(f: FieldSpec, x: float) -> int:
+    """phi(x) via the ideal Moebius sieve; Q and class-number-1 fields only."""
+    return phi(f, x, "mobius")
+
+
+def totient_summatory(x: int) -> int:
+    """sum_{k <= x} EulerTotient(k) by the totient sieve (rational field)."""
+    return phi(make_field("rational"), x, "sieve") if x >= 1 else 0
 
 
 # ----------------------------------------------------------------------
-# phi: Moebius sieve
+# The lemma quantities S and T
 # ----------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def _orbit_count_sum(f: FieldSpec, ideal: LatticeIdeal, bound: int) -> tuple[int, int]:
     """(S, T) for the ideal: count of principal ideals inside it with norm
     <= bound, and the sum of their norms.  Element totals are exact
@@ -196,105 +227,6 @@ def _orbit_count_sum(f: FieldSpec, ideal: LatticeIdeal, bound: int) -> tuple[int
     assert count % f.w == 0 and total % f.w == 0
     return count // f.w, total // f.w
 
-
-def _require_mobius_field(f: FieldSpec) -> None:
-    if not f.is_rational and f.h != 1:
-        raise UnsupportedFieldError(
-            f"Moebius sieve needs class number 1, but {f!r} has h = {f.h}; "
-            "use the brute-force method"
-        )
-
-
-def phi_mobius(f: FieldSpec, x: float) -> int:
-    """phi(x) via the ideal Moebius sieve; class-number-1 fields only."""
-    _require_mobius_field(f)
-    if x < 1:
-        warnings.warn("phi(x) with x < 1 counts no denominators", RuntimeWarning)
-        return 0
-    bound = int(x)
-    if f.is_rational:
-        mu = mobius_sieve(bound)
-        return sum(
-            mu[n] * ((bound // n) * (bound // n + 1) // 2)
-            for n in range(1, bound + 1)
-            if mu[n]
-        )
-    total = Fraction(0)
-    for q in unit_orbit_reps(f, bound):
-        ideal = principal_ideal(f, q)
-        m = mobius_ideal(f, ideal)
-        if m == 0:
-            continue
-        t_val = _orbit_count_sum(f, ideal, bound)[1]
-        total += Fraction(m * t_val, ideal.norm)
-    assert total.denominator == 1, "Moebius sum did not collapse to an integer"
-    return int(total)
-
-
-def _mobius_profile(f: FieldSpec, bound: int) -> list[int]:
-    """The Moebius-sieve profile at every integer cutoff <= bound."""
-    _require_mobius_field(f)
-    if f.is_rational:
-        mu = mobius_sieve(bound)
-        inc = [0] * (bound + 1)
-        for n in range(1, bound + 1):
-            if not mu[n]:
-                continue
-            for k in range(1, bound // n + 1):
-                inc[n * k] += mu[n] * k
-        return list(np.cumsum(inc))
-    per_norm: dict[int, Fraction] = {}
-    for q in unit_orbit_reps(f, bound):
-        ideal = principal_ideal(f, q)
-        m = mobius_ideal(f, ideal)
-        if m == 0:
-            continue
-        hist = norm_histogram(f, ideal, bound)
-        for n in np.nonzero(hist)[0]:
-            n = int(n)
-            cnt = int(hist[n])
-            assert cnt % f.w == 0
-            per_norm[n] = per_norm.get(n, Fraction(0)) + Fraction(
-                m * n * (cnt // f.w), ideal.norm
-            )
-    out = [0] * (bound + 1)
-    running = Fraction(0)
-    for n in range(1, bound + 1):
-        running += per_norm.get(n, Fraction(0))
-        assert running.denominator == 1
-        out[n] = int(running)
-    return out
-
-
-def phi(f: FieldSpec, x: float, method: str = "auto", threads: int = 1) -> int:
-    """Dispatcher: 'auto' picks the sieve over Q, the Moebius route when
-    h = 1, and brute force otherwise."""
-    if method == "auto":
-        method = "sieve" if f.is_rational else ("mobius" if f.h == 1 else "brute")
-    if method == "brute":
-        return phi_bruteforce(f, x, threads)
-    if method == "mobius":
-        return phi_mobius(f, x)
-    if method == "sieve":
-        if not f.is_rational:
-            raise UnsupportedFieldError("the totient sieve is a rational-field method")
-        if x < 1:
-            warnings.warn("phi(x) with x < 1 counts no denominators", RuntimeWarning)
-            return 0
-        return totient_summatory(int(x))
-    raise ValueError(f"unknown method {method!r}")
-
-
-def totient_summatory(x: int) -> int:
-    """sum_{k <= x} EulerTotient(k) by the linear sieve (rational field)."""
-    if x < 1:
-        return 0
-    return sum(totient_sieve(x)[1:])
-
-
-# ----------------------------------------------------------------------
-# The lemma quantities S and T
-# ----------------------------------------------------------------------
 
 def S_count(f: FieldSpec, ideal: LatticeIdeal, x: float) -> int:
     """Number of nonzero principal ideals (q) inside the ideal with N(q) <= x."""
@@ -338,6 +270,7 @@ __all__ = [
     "METHODS",
     "CountSample",
     "unit_orbit_reps",
+    "resolve_method",
     "phi_profile",
     "phi_bruteforce",
     "phi_mobius",

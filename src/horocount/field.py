@@ -177,10 +177,6 @@ def conj(f: FieldSpec, x: RingElement) -> RingElement:
     return RingElement(x.a, -x.b)
 
 
-def neg(x: RingElement) -> RingElement:
-    return RingElement(-x.a, -x.b)
-
-
 def ring_arith(f: FieldSpec, op: str, x: RingElement, y: RingElement) -> RingElement:
     """Dispatch for the four exact ring operations; conj ignores y."""
     if op == "add":
@@ -338,6 +334,28 @@ def _prime_power_ideal_count(split: str, e: int) -> int:
     return 1 if e % 2 == 0 else 0
 
 
+def _multiplicative_fill(f: FieldSpec, n_max: int, prime_power) -> list[int]:
+    """a[0..n_max] of the multiplicative function with a[0] = 0, a[1] = 1 and
+    a[p^e] = prime_power(splitting_type(f, p), e); imaginary quadratic f only.
+    """
+    spf = smallest_prime_factors(n_max)
+    split_of: dict[int, str] = {}
+    a = [0] * (n_max + 1)
+    if n_max >= 1:
+        a[1] = 1
+    for n in range(2, n_max + 1):
+        p = spf[n]
+        m, e = n, 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        s = split_of.get(p)
+        if s is None:
+            s = split_of[p] = splitting_type(f, p)
+        a[n] = a[m] * prime_power(s, e)
+    return a
+
+
 def ideal_count_coefficients(f: FieldSpec, n_max: int) -> list[int]:
     """a[n] = number of ideals of O of norm n, for 0 <= n <= n_max (a[0] = 0).
 
@@ -349,21 +367,7 @@ def ideal_count_coefficients(f: FieldSpec, n_max: int) -> list[int]:
         raise ValueError("n_max must be >= 1")
     if f.is_rational:
         return [0] + [1] * n_max
-    spf = smallest_prime_factors(n_max)
-    split_of: dict[int, str] = {}
-    a = [0] * (n_max + 1)
-    a[1] = 1
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        s = split_of.get(p)
-        if s is None:
-            s = split_of[p] = splitting_type(f, p)
-        a[n] = a[m] * _prime_power_ideal_count(s, e)
-    return a
+    return _multiplicative_fill(f, n_max, _prime_power_ideal_count)
 
 
 def zeta_K_2_via_ideal_counts(f: FieldSpec, n_max: int = 200_000) -> float:
@@ -432,7 +436,6 @@ __all__ = [
     "sub",
     "mul",
     "conj",
-    "neg",
     "ring_arith",
     "omega_times",
     "units",

@@ -132,27 +132,30 @@ def _snap_to_int(x: float) -> int:
     return int(math.floor(x))
 
 
-def depth_counting(f: FieldSpec, t: float, method: str = "auto", threads: int = 1) -> int:
+def depth_cutoff(f: FieldSpec, t: float) -> int:
+    """The norm cutoff of depth t: depth log|q|^2 <= t means N(q) <= e^(t/2)
+    over Q and N(q) <= e^t over an imaginary quadratic field."""
+    return _snap_to_int(math.exp(t / 2 if f.is_rational else t))
+
+
+def depth_counting(f: FieldSpec, t: float, method: str = "auto") -> int:
     """N_e(t): number of fraction classes with depth <= t.
 
-    Depth log|q|^2 <= t means N(q) <= e^(t/2) over Q and N(q) <= e^t over
-    an imaginary quadratic field; negative t admits no class (minimum
-    depth is 0).
+    phi at depth_cutoff(f, t); negative t admits no class (minimum depth
+    is 0).
     """
-    cutoff = _snap_to_int(math.exp(t / 2 if f.is_rational else t))
+    cutoff = depth_cutoff(f, t)
     if cutoff < 1:
         return 0
-    return phi(f, cutoff, method=method, threads=threads)
+    return phi(f, cutoff, method=method)
 
 
-def growth_rate(
-    f: FieldSpec, t_grid: list[float], method: str = "auto", threads: int = 1
-) -> float:
+def growth_rate(f: FieldSpec, t_grid: list[float], method: str = "auto") -> float:
     """Least-squares slope of log N_e(t) against t; approaches the critical
     exponent (1 for the modular orbifold, 2 for the Bianchi ones)."""
     if len(t_grid) < 2 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 2 points")
-    counts = [depth_counting(f, t, method=method, threads=threads) for t in t_grid]
+    counts = [depth_counting(f, t, method=method) for t in t_grid]
     if any(c <= 0 for c in counts):
         raise ValueError("N_e must be positive on the whole grid")
     slope, _ = np.polyfit(np.asarray(t_grid), np.log(np.asarray(counts, float)), 1)
@@ -372,6 +375,7 @@ __all__ = [
     "SeriesVerdict",
     "DisjointnessReport",
     "make_geodesic",
+    "depth_cutoff",
     "depth_counting",
     "growth_rate",
     "horoball_of",

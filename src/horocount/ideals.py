@@ -19,10 +19,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import factorize, mobius_sieve, smallest_prime_factors, sqrt_mod_prime, xgcd
+from .arith import factorize, mobius_sieve, sqrt_mod_prime, xgcd
 from .field import (
     FieldSpec,
     RingElement,
+    _multiplicative_fill,
     conj,
     mul,
     norm,
@@ -429,22 +430,28 @@ def enumerate_norm_le(
             yield RingElement(u, v)
 
 
+def _norm_form(f: FieldSpec, u, v):
+    """N(u + v*omega) elementwise, for int64 arrays (or ints) u and v."""
+    if f.is_rational:
+        return np.abs(u)
+    if f.half_basis:
+        return u * u + u * v + f.half_m * v * v
+    return u * u + f.d * v * v
+
+
+def _row_norms(f: FieldSpec, lattice: LatticeIdeal, bound: int) -> Iterator[np.ndarray]:
+    """The norms of the lattice points of each row of _rows_norm_le, as int64 arrays."""
+    for v, u0, n_pts in _rows_norm_le(f, lattice, bound):
+        yield _norm_form(f, u0 + lattice.alpha * np.arange(n_pts, dtype=np.int64), v)
+
+
 def count_and_sum_norms(
     f: FieldSpec, lattice: LatticeIdeal, bound: int
 ) -> tuple[int, int]:
     """(#nonzero elements with norm <= bound, sum of their norms); vectorized."""
     count = 0
     total = 0
-    alpha = lattice.alpha
-    d = f.d
-    for v, u0, n_pts in _rows_norm_le(f, lattice, bound):
-        u = u0 + alpha * np.arange(n_pts, dtype=np.int64)
-        if f.is_rational:
-            norms = np.abs(u)
-        elif f.half_basis:
-            norms = (u * (u + v) + f.half_m * v * v).astype(np.int64)
-        else:
-            norms = u * u + d * v * v
+    for norms in _row_norms(f, lattice, bound):
         nz = norms > 0
         count += int(np.count_nonzero(nz))
         total += int(norms[nz].sum())
@@ -456,16 +463,7 @@ def norm_histogram(
 ) -> np.ndarray:
     """counts[n] = number of nonzero lattice elements of norm exactly n <= bound."""
     counts = np.zeros(bound + 1, dtype=np.int64)
-    alpha = lattice.alpha
-    d = f.d
-    for v, u0, n_pts in _rows_norm_le(f, lattice, bound):
-        u = u0 + alpha * np.arange(n_pts, dtype=np.int64)
-        if f.is_rational:
-            norms = np.abs(u)
-        elif f.half_basis:
-            norms = u * (u + v) + f.half_m * v * v
-        else:
-            norms = u * u + d * v * v
+    for norms in _row_norms(f, lattice, bound):
         counts += np.bincount(norms, minlength=bound + 1)[: bound + 1]
     if bound >= 0:
         counts[0] = 0
@@ -476,6 +474,14 @@ def norm_histogram(
 # Moebius sums over ideals
 # ----------------------------------------------------------------------
 
+def _mobius_prime_power(split: str, e: int) -> int:
+    if split == "split":
+        return -2 if e == 1 else 1 if e == 2 else 0
+    if split == "ramified":
+        return -1 if e == 1 else 0
+    return -1 if e == 2 else 0
+
+
 def mobius_norm_coefficients(f: FieldSpec, bound: int) -> list[int]:
     """m[n] = sum of mu(I) over ideals of norm n, multiplicatively sieved.
 
@@ -485,28 +491,7 @@ def mobius_norm_coefficients(f: FieldSpec, bound: int) -> list[int]:
     """
     if f.is_rational:
         return mobius_sieve(bound)
-    spf = smallest_prime_factors(bound)
-    split_of: dict[int, str] = {}
-    m = [0] * (bound + 1)
-    if bound >= 1:
-        m[1] = 1
-    for n in range(2, bound + 1):
-        p = spf[n]
-        rest, e = n, 0
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        s = split_of.get(p)
-        if s is None:
-            s = split_of[p] = splitting_type(f, p)
-        if s == "split":
-            coef = -2 if e == 1 else 1 if e == 2 else 0
-        elif s == "ramified":
-            coef = -1 if e == 1 else 0
-        else:
-            coef = -1 if e == 2 else 0
-        m[n] = m[rest] * coef
-    return m
+    return _multiplicative_fill(f, bound, _mobius_prime_power)
 
 
 def mobius_reciprocal_partial(f: FieldSpec, bound: int) -> float:

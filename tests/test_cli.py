@@ -1,5 +1,5 @@
-"""CLI surface: schema-valid output, determinism, thread independence,
-machine-parsable errors, and the verify command's exit contract."""
+"""CLI surface: schema-valid output, determinism, machine-parsable errors,
+and the verify command's exit contract."""
 
 import copy
 import csv
@@ -11,7 +11,9 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from horocount.cli import build_config, main, run
+from horocount.cli import main
+from horocount.field import make_field
+from horocount.geodesics import depth_counting
 
 
 @pytest.fixture(scope="session")
@@ -48,6 +50,36 @@ def test_count_both_methods_agree(tmp_path, schema):
     for row in doc["rows"]:
         by_x.setdefault(row["x_or_t"], set()).add(row["value"])
     assert by_x == {100.0: {2600}, 200.0: {10608}}  # brute == mobius per cutoff
+
+
+def test_count_rational_both_methods(tmp_path, schema):
+    code, doc = run_json(
+        tmp_path, ["count", "--field", "rational", "--cutoffs", "10,100", "--method", "both"]
+    )
+    assert code == 0
+    jsonschema.validate(doc, schema)
+    values = {
+        m: [r["value"] for r in doc["rows"] if r["method"] == m] for m in ("brute", "mobius")
+    }
+    assert values["brute"] == values["mobius"] == [32, 3044]
+
+
+@pytest.mark.parametrize(
+    "field, method", [("rational", "sieve"), ("d=1", "mobius"), ("d=5", "brute")]
+)
+def test_depths_rows_name_the_resolved_method(tmp_path, schema, field, method):
+    cutoffs = [-1.0, 2.0, 4.0, 6.0]
+    code, doc = run_json(
+        tmp_path, ["depths", "--field", field, "--cutoffs=" + ",".join(map(str, cutoffs))]
+    )
+    assert code == 0
+    jsonschema.validate(doc, schema)
+    f = make_field("rational" if field == "rational" else int(field[2:]))
+    assert [r["method"] for r in doc["rows"]] == [method] * len(cutoffs)
+    assert [r["x_or_t"] for r in doc["rows"]] == cutoffs
+    expected = [depth_counting(f, t) for t in cutoffs]
+    assert [r["value"] for r in doc["rows"]] == expected
+    assert expected[0] == 0 and expected[-1] > 0
 
 
 def test_zeta_rational(tmp_path, schema):
@@ -105,13 +137,6 @@ def test_rerun_byte_reproducible_modulo_timestamp(tmp_path):
     _, doc1 = run_json(tmp_path, argv, "a.json")
     _, doc2 = run_json(tmp_path, argv, "b.json")
     assert hash_without_timestamp(doc1) == hash_without_timestamp(doc2)
-
-
-def test_thread_count_does_not_change_rows(tmp_path):
-    base = ["count", "--field", "d=1", "--cutoffs", "300", "--method", "brute"]
-    _, doc1 = run_json(tmp_path, base + ["--threads", "1"], "t1.json")
-    _, doc3 = run_json(tmp_path, base + ["--threads", "3"], "t3.json")
-    assert doc1["rows"] == doc3["rows"]
 
 
 def test_csv_headers_fixed(tmp_path):
@@ -174,21 +199,14 @@ def test_unwritable_output(capsys):
     assert "unwritable-output" in capsys.readouterr().err
 
 
-def test_verify_passes_on_good_field(tmp_path, capsys):
-    out = tmp_path / "verify.json"
-    code = main(["verify", "--field", "d=3", "--cutoffs", "150", "--output", str(out)])
-    captured = capsys.readouterr().out
+def test_verify_passes_on_good_field(capsys):
+    code = main(["verify", "--field", "d=3", "--cutoffs", "150", "--output", "-"])
+    captured = capsys.readouterr()
     assert code == 0
-    assert "PASS" in captured and "FAIL" not in captured
-    doc = json.loads(out.read_text())
+    assert "PASS" in captured.err and "FAIL" not in captured.err
+    doc = json.loads(captured.out)  # stdout holds exactly one JSON document
     assert doc["failures"] == 0
     assert all(row["passed"] for row in doc["rows"])
-
-
-def test_build_config_env_threads(monkeypatch):
-    monkeypatch.setenv("HOROCOUNT_THREADS", "4")
-    cfg = build_config(["count", "--field", "d=1", "--cutoffs", "10"])
-    assert cfg.threads == 4
 
 
 def test_big_integers_emitted_as_strings(tmp_path):

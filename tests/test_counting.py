@@ -17,6 +17,7 @@ import pytest
 
 from horocount.arith import totient_sieve
 from horocount.counting import (
+    METHODS,
     CountSample,
     S_count,
     T_sum,
@@ -26,6 +27,7 @@ from horocount.counting import (
     phi_bruteforce,
     phi_mobius,
     phi_profile,
+    resolve_method,
     totient_summatory,
     unit_orbit_reps,
 )
@@ -145,14 +147,23 @@ def test_phi_mobius_rejects_h_gt_1(K5):
 
 
 def test_phi_dispatcher(Q, K1, K5):
+    assert [resolve_method(f) for f in (Q, K1, K5)] == ["sieve", "mobius", "brute"]
     assert phi(Q, 300) == phi_bruteforce(Q, 300)
     assert phi(K1, 300) == phi_bruteforce(K1, 300)
     assert phi(K5, 300) == phi_bruteforce(K5, 300)  # auto falls back to brute
+    assert phi(K1, 300) == phi_profile(K1, 300, method="brute")[-1]
+    with pytest.raises(UnsupportedFieldError):
+        phi(K1, 300, method="sieve")
+    with pytest.raises(ValueError):
+        phi_profile(Q, 300, method="bogus")
 
 
-def test_threads_do_not_change_results(Q, K1, K5):
-    for f, x in ((Q, 700), (K1, 400), (K5, 400)):
-        assert phi_bruteforce(f, x, threads=3) == phi_bruteforce(f, x, threads=1)
+def test_phi_profile_entries_are_python_ints(Q, K1):
+    # numpy integers leak into json.dumps as a TypeError
+    cases = [(Q, m) for m in METHODS] + [(K1, "brute"), (K1, "mobius")]
+    for f, method in cases:
+        prof = phi_profile(f, 30, method=method)
+        assert len(prof) == 31 and all(type(v) is int for v in prof), (f, method)
 
 
 # ----------------------------------------------------------------------
