@@ -68,12 +68,21 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise CliError("unknown-command", f"unknown command {self.command!r}")
+        if not all(math.isfinite(c) for c in self.cutoffs):
+            raise CliError("bad-cutoffs", "cutoffs must be finite")
+        # depths takes t < 0 (no class has negative depth); zeta and classnum ignore cutoffs
+        if self.command in ("count", "horoballs", "poincare", "verify") and any(
+            c < 0 for c in self.cutoffs
+        ):
+            raise CliError("bad-cutoffs", f"{self.command} cutoffs must be non-negative")
         if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
             raise CliError("bad-cutoffs", "cutoffs must be strictly increasing")
         if self.command == "poincare" and self.s is None:
             raise CliError("missing-s", "poincare requires --s")
         if self.command != "poincare" and self.s is not None:
             raise CliError("stray-s", "--s is only meaningful for poincare")
+        if self.s is not None and not math.isfinite(self.s):
+            raise CliError("bad-s", "--s must be finite")
         if self.command in ("count", "depths", "horoballs", "poincare", "verify") and not self.cutoffs:
             raise CliError("missing-cutoffs", f"{self.command} requires --cutoffs")
         if self.method is not None and self.method not in ("brute", "mobius", "both"):
@@ -154,7 +163,10 @@ def _cmd_classnum(config: RunConfig) -> tuple[list[dict], dict]:
 def _cmd_depths(config: RunConfig) -> tuple[list[dict], dict]:
     f = config.field
     method = counting.resolve_method(f)
-    cutoffs = [geodesics.depth_cutoff(f, t) for t in config.cutoffs]
+    try:
+        cutoffs = [geodesics.depth_cutoff(f, t) for t in config.cutoffs]
+    except OverflowError:
+        raise CliError("bad-cutoffs", "a depth cutoff overflows e^t") from None
     profile = counting.phi_profile(f, cutoffs[-1], method=method)
     rows = []
     for t, cutoff in zip(config.cutoffs, cutoffs):
@@ -220,18 +232,16 @@ def _cmd_poincare(config: RunConfig) -> tuple[list[dict], dict]:
     f = config.field
     s = config.s
     assert s is not None
+    sums = {
+        "relative": geodesics.relative_poincare_partials(f, s, config.cutoffs),
+        "parabolic": geodesics.parabolic_poincare_partials(f, s, config.cutoffs),
+    }
     rows = []
-    sums: dict[str, list[geodesics.SeriesPartialSum]] = {"relative": [], "parabolic": []}
-    for cutoff in config.cutoffs:
-        for kind, fn in (
-            ("relative", geodesics.relative_poincare_partial),
-            ("parabolic", geodesics.parabolic_poincare_partial),
-        ):
-            ps = fn(f, s, cutoff)
-            sums[kind].append(ps)
+    for pair in zip(*sums.values()):  # per cutoff: relative, then parabolic
+        for ps in pair:
             row = _provenance(f, ps.value, "partial-sum")
-            row["x_or_t"] = cutoff
-            row["kind"] = kind
+            row["x_or_t"] = ps.cutoff
+            row["kind"] = ps.kind
             row["s"] = s
             row["predicted"] = None
             row["ratio"] = None
@@ -349,14 +359,13 @@ def _verify_checks(f: FieldSpec, bound: int):
 
     cuts = [max(4, bound // 4), max(8, bound // 2), max(16, bound)]
     ordering_ok = True
-    for kind_fn in (geodesics.relative_poincare_partial, geodesics.parabolic_poincare_partial):
-        for s_lo, s_hi in ((1.2, 2.4),):
-            vals_lo = [kind_fn(f, s_lo, c).value for c in cuts]
-            vals_hi = [kind_fn(f, s_hi, c).value for c in cuts]
-            if any(b < a for a, b in zip(vals_lo, vals_lo[1:])):
-                ordering_ok = False
-            if any(h > l for h, l in zip(vals_hi, vals_lo)):
-                ordering_ok = False
+    for partials in (geodesics.relative_poincare_partials, geodesics.parabolic_poincare_partials):
+        vals_lo = [ps.value for ps in partials(f, 1.2, cuts)]
+        vals_hi = [ps.value for ps in partials(f, 2.4, cuts)]
+        if any(b < a for a, b in zip(vals_lo, vals_lo[1:])):
+            ordering_ok = False
+        if any(h > l for h, l in zip(vals_hi, vals_lo)):
+            ordering_ok = False
     yield (
         "series-ordering",
         ordering_ok,
@@ -406,7 +415,7 @@ def _render_json(config: RunConfig, rows: list[dict], extras: dict) -> str:
         "rows": _stringify_big_ints(rows),
     }
     envelope.update(_stringify_big_ints(extras))
-    return json.dumps(envelope, sort_keys=True, indent=2) + "\n"
+    return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 _PLOT_HEADER = ["x_or_t", "value", "predicted", "ratio"]
@@ -534,6 +543,10 @@ def main(argv: list[str] | None = None) -> int:
         return run(config)
     except CliError as exc:
         sys.stderr.write(f"horocount-error code={exc.code} message={exc!s}\n")
+        return 2
+    except (MemoryError, OverflowError) as exc:  # arrays past memory or past ssize_t
+        message = str(exc) or "cannot allocate the arrays this request needs"
+        sys.stderr.write(f"horocount-error code=too-large message={message}\n")
         return 2
     except (UnsupportedFieldError, ValueError) as exc:
         sys.stderr.write(f"horocount-error code=invalid-request message={exc!s}\n")

@@ -11,7 +11,6 @@ case b = 0.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
@@ -57,11 +56,12 @@ class FieldSpec:
 
     Derived constants: D (the positive discriminant magnitude, d or 4d),
     w (number of roots of unity), half_basis (omega = (1+sqrt(-d))/2 iff
-    d = 3 mod 4).  The class number h is computed lazily, once, behind a
-    lock so a FieldSpec can be shared across threads.
+    d = 3 mod 4).  The class number h is computed lazily, on first use; the
+    computation is pure, so threads sharing a FieldSpec that race on the
+    first use can only repeat it, never disagree.
     """
 
-    __slots__ = ("kind", "d", "D", "w", "half_basis", "_h", "_h_lock")
+    __slots__ = ("kind", "d", "D", "w", "half_basis", "_h")
 
     def __init__(self, kind: str, d: int | None):
         self.kind = kind
@@ -76,7 +76,6 @@ class FieldSpec:
             self.D = d if self.half_basis else 4 * d
             self.w = 4 if d == 1 else 6 if d == 3 else 2
         self._h: int | None = 1 if kind == RATIONAL else None
-        self._h_lock = threading.Lock()
 
     @property
     def is_rational(self) -> bool:
@@ -84,11 +83,9 @@ class FieldSpec:
 
     @property
     def h(self) -> int:
-        """Class number, computed once (reduced binary quadratic forms)."""
+        """Class number, computed on first use (reduced binary quadratic forms)."""
         if self._h is None:
-            with self._h_lock:
-                if self._h is None:
-                    self._h = _reduced_form_count(self.D)
+            self._h = _reduced_form_count(self.D)
         return self._h
 
     @property

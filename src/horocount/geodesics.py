@@ -13,13 +13,13 @@ Conventions (fixed once):
 from __future__ import annotations
 
 import math
-import threading
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .counting import phi, phi_profile
+from .counting import phi, phi_profile, resolve_method
 from .field import (
     FieldSpec,
     RingElement,
@@ -250,74 +250,76 @@ def check_disjoint(balls: list[Horoball]) -> DisjointnessReport:
 # Poincare series partial sums
 # ----------------------------------------------------------------------
 
-_series_cache_lock = threading.Lock()
-_totient_increments: dict[tuple[FieldSpec, int], np.ndarray] = {}
-_lattice_histograms: dict[tuple[FieldSpec, int], np.ndarray] = {}
+def _series_bounds(cutoffs: Sequence[float], square: bool) -> list[int]:
+    """The integer norm bound of each cutoff: snap(c), or snap(c^2) when the
+    cutoff is on |c| and the norm is |c|^2."""
+    if not cutoffs or not all(1 <= c < math.inf for c in cutoffs):
+        raise ValueError("need at least one cutoff, each finite and >= 1")
+    return [_snap_to_int(c * c if square else c) for c in cutoffs]
 
 
-def _totient_by_norm(f: FieldSpec, bound: int) -> np.ndarray:
-    """w[n] = sum of Phi(q) over denominator classes with N(q) = n."""
-    key = (f, bound)
-    with _series_cache_lock:
-        hit = _totient_increments.get(key)
-    if hit is not None:
-        return hit
-    inc = np.diff(np.asarray(phi_profile(f, bound, method="brute"), dtype=np.int64),
-                  prepend=0)
-    with _series_cache_lock:
-        _totient_increments[key] = inc
-    return inc
-
-
-def _o_histogram(f: FieldSpec, bound: int) -> np.ndarray:
-    key = (f, bound)
-    with _series_cache_lock:
-        hit = _lattice_histograms.get(key)
-    if hit is not None:
-        return hit
-    hist = norm_histogram(f, unit_ideal(f), bound)
-    with _series_cache_lock:
-        _lattice_histograms[key] = hist
-    return hist
-
-
-def relative_poincare_partial(f: FieldSpec, s: float, cutoff: float) -> SeriesPartialSum:
-    """Partial sum of the relative series over double cosets: the depth-0
-    term plus Phi(q) * e^(-s * depth) over denominators with N(q) <= cutoff.
+def relative_poincare_partials(
+    f: FieldSpec, s: float, cutoffs: Sequence[float]
+) -> list[SeriesPartialSum]:
+    """Partial sums of the relative series over double cosets, one per cutoff:
+    the depth-0 term plus Phi(q) * e^(-s * depth) over denominators with
+    N(q) <= cutoff.
 
     Expanded over fractions, e^(-s*depth(q)) is |q|^(-2s): N(q)^(-s) in the
-    quadratic case and q^(-2s) over Q.
+    quadratic case and q^(-2s) over Q.  The weight w[n] (sum of Phi(q) over
+    N(q) = n) comes from one phi profile up to the largest cutoff, by the
+    method resolve_method picks for 'auto'; each sum is a dot product over
+    a prefix of the same arrays.
     """
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    bound = _snap_to_int(cutoff)
-    weights = _totient_by_norm(f, bound).astype(np.float64)
-    n = np.arange(bound + 1, dtype=np.float64)
+    bounds = _series_bounds(cutoffs, square=False)
+    top = max(bounds)
+    profile = phi_profile(f, top, resolve_method(f))
+    weights = np.diff(np.asarray(profile, dtype=np.int64), prepend=0).astype(np.float64)
+    n = np.arange(top + 1, dtype=np.float64)
     n[0] = 1.0
     exponent = 2.0 * s if f.is_rational else s
-    value = float(np.dot(weights, n ** (-exponent)))
-    return SeriesPartialSum(s=s, cutoff=cutoff, value=value, kind="relative")
+    terms = n ** (-exponent)
+    return [
+        SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(weights[: b + 1], terms[: b + 1])),
+                         kind="relative")
+        for c, b in zip(cutoffs, bounds)
+    ]
 
 
-def parabolic_poincare_partial(f: FieldSpec, s: float, cutoff: float) -> SeriesPartialSum:
-    """Partial sum of the stabilizer's series: e^(-s * d(x0, x0 + c)) over
-    nonzero c in O with |c| <= cutoff, where d is the upper half-space
-    distance between height-1 points, d = 2 * arcsinh(|c| / 2)."""
-    if cutoff < 1:
-        raise ValueError("cutoff must be >= 1")
-    if f.is_rational:
-        bound = _snap_to_int(cutoff)
-    else:
-        bound = _snap_to_int(cutoff * cutoff)
-    hist = _o_histogram(f, bound).astype(np.float64)
-    n = np.arange(bound + 1, dtype=np.float64)
+def parabolic_poincare_partials(
+    f: FieldSpec, s: float, cutoffs: Sequence[float]
+) -> list[SeriesPartialSum]:
+    """Partial sums of the stabilizer's series, one per cutoff: e^(-s * d(x0,
+    x0 + c)) over nonzero c in O with |c| <= cutoff, where d is the upper
+    half-space distance between height-1 points, d = 2 * arcsinh(|c| / 2).
+
+    One norm histogram of O up to the largest cutoff; each sum is a dot
+    product over a prefix of it.
+    """
+    bounds = _series_bounds(cutoffs, square=not f.is_rational)
+    top = max(bounds)
+    hist = norm_histogram(f, unit_ideal(f), top).astype(np.float64)
+    n = np.arange(top + 1, dtype=np.float64)
     abs_c = n if f.is_rational else np.sqrt(n)
     # e^(-2s*arcsinh(t)) = (t + sqrt(1 + t^2))^(-2s) with t = |c|/2
     t = abs_c / 2.0
     with np.errstate(divide="ignore"):
         terms = (t + np.sqrt(1.0 + t * t)) ** (-2.0 * s)
-    value = float(np.dot(hist[1:], terms[1:]))
-    return SeriesPartialSum(s=s, cutoff=cutoff, value=value, kind="parabolic")
+    return [
+        SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(hist[1 : b + 1], terms[1 : b + 1])),
+                         kind="parabolic")
+        for c, b in zip(cutoffs, bounds)
+    ]
+
+
+def relative_poincare_partial(f: FieldSpec, s: float, cutoff: float) -> SeriesPartialSum:
+    """The relative series' partial sum at one cutoff (see relative_poincare_partials)."""
+    return relative_poincare_partials(f, s, [cutoff])[0]
+
+
+def parabolic_poincare_partial(f: FieldSpec, s: float, cutoff: float) -> SeriesPartialSum:
+    """The parabolic series' partial sum at one cutoff (see parabolic_poincare_partials)."""
+    return parabolic_poincare_partials(f, s, [cutoff])[0]
 
 
 # ----------------------------------------------------------------------
@@ -335,7 +337,7 @@ _PROTOCOL = (
 class SeriesVerdict:
     verdict: str  # converges | diverges | inconclusive
     cauchy_difference: float
-    growth_exponent: float
+    growth_exponent: float | None  # None unless every sum is positive and finite
     protocol: str = _PROTOCOL
 
 
@@ -343,7 +345,9 @@ def convergence_verdict(sums: list[SeriesPartialSum]) -> SeriesVerdict:
     """Classify a series from partial sums at >= 3 increasing cutoffs.
 
     Divergence is not decidable from finite sums; the verdict names its
-    protocol so downstream consumers never see a bare boolean.
+    protocol so downstream consumers never see a bare boolean.  The log-log
+    slope is fitted only when every partial sum is positive and finite;
+    otherwise growth_exponent is None and the Cauchy tests decide.
     """
     if len(sums) < 3:
         raise ValueError("need partial sums at >= 3 cutoffs")
@@ -353,9 +357,11 @@ def convergence_verdict(sums: list[SeriesPartialSum]) -> SeriesVerdict:
     values = [ps.value for ps in ordered]
     cuts = [ps.cutoff for ps in ordered]
     diffs = [b - a for a, b in zip(values, values[1:])]
-    slope = float(np.polyfit(np.log(cuts), np.log(values), 1)[0])
+    slope = None
+    if all(0.0 < v < math.inf for v in values):
+        slope = float(np.polyfit(np.log(cuts), np.log(values), 1)[0])
     cauchy = diffs[-1]
-    if slope > 0.1:
+    if slope is not None and slope > 0.1:
         verdict = "diverges"
     elif cauchy < 1e-6:
         verdict = "converges"
@@ -383,5 +389,7 @@ __all__ = [
     "check_disjoint",
     "relative_poincare_partial",
     "parabolic_poincare_partial",
+    "relative_poincare_partials",
+    "parabolic_poincare_partials",
     "convergence_verdict",
 ]

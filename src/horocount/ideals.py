@@ -461,10 +461,14 @@ def count_and_sum_norms(
 def norm_histogram(
     f: FieldSpec, lattice: LatticeIdeal, bound: int
 ) -> np.ndarray:
-    """counts[n] = number of nonzero lattice elements of norm exactly n <= bound."""
-    counts = np.zeros(bound + 1, dtype=np.int64)
-    for norms in _row_norms(f, lattice, bound):
-        counts += np.bincount(norms, minlength=bound + 1)[: bound + 1]
+    """counts[n] = number of nonzero lattice elements of norm exactly n <= bound.
+
+    One bincount over the norms of every row, so the cost is linear in the
+    number of lattice points plus the bound.
+    """
+    # the empty head keeps concatenate defined when bound < 0 yields no rows
+    norms = np.concatenate([np.zeros(0, dtype=np.int64), *_row_norms(f, lattice, bound)])
+    counts = np.bincount(norms, minlength=bound + 1)[: bound + 1]
     if bound >= 0:
         counts[0] = 0
     return counts

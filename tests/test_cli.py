@@ -6,11 +6,13 @@ import csv
 import hashlib
 import io
 import json
+import warnings
 from importlib import resources
 
 import jsonschema
 import pytest
 
+from horocount import geodesics
 from horocount.cli import main
 from horocount.field import make_field
 from horocount.geodesics import depth_counting
@@ -120,6 +122,51 @@ def test_poincare_verdicts_present(tmp_path):
     assert "protocol" in doc["verdicts"]["relative"]
 
 
+def test_poincare_builds_each_series_once(tmp_path, monkeypatch):
+    # one phi profile and one lattice histogram at the largest cutoff serve
+    # every smaller cutoff
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append((name, args[1:]))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(geodesics, "phi_profile", spy("phi_profile", geodesics.phi_profile))
+    monkeypatch.setattr(
+        geodesics, "norm_histogram", spy("norm_histogram", geodesics.norm_histogram)
+    )
+    code, doc = run_json(
+        tmp_path, ["poincare", "--field", "d=1", "--cutoffs", "10,20,40", "--s", "1.5"]
+    )
+    assert code == 0
+    assert [(r["kind"], r["x_or_t"]) for r in doc["rows"]] == [
+        (kind, c) for c in (10.0, 20.0, 40.0) for kind in ("relative", "parabolic")
+    ]
+    assert sorted(name for name, _ in calls) == ["norm_histogram", "phi_profile"]
+    assert dict(calls)["phi_profile"][0] == 40
+    assert dict(calls)["norm_histogram"][1] == 1600
+
+
+def test_poincare_underflow_is_strict_json(tmp_path, schema):
+    # at s = 1000 every parabolic term underflows to 0: no log-log slope
+    out = tmp_path / "out.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["poincare", "--field", "d=1", "--cutoffs", "10,20,40", "--s", "1000",
+                     "--output", str(out)])
+    assert code == 0
+
+    def reject(token):
+        raise AssertionError(f"non-JSON constant {token}")
+
+    doc = json.loads(out.read_text(), parse_constant=reject)
+    jsonschema.validate(doc, schema)
+    assert doc["verdicts"]["parabolic"]["growth_exponent"] is None
+    assert doc["verdicts"]["parabolic"]["verdict"] == "converges"
+
+
 def test_horoballs_packing_summary(tmp_path):
     _, doc = run_json(tmp_path, ["horoballs", "--field", "rational", "--cutoffs", "12"])
     assert doc["packing"]["overlaps"] == 0
@@ -191,6 +238,30 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("horocount-error code=")
     assert err.count("\n") == 1  # one-line machine-parsable error
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["poincare", "--field", "d=1", "--cutoffs", "10,20,40", "--s", "nan"], "bad-s"),
+        (["poincare", "--field", "d=1", "--cutoffs", "10,20,40", "--s", "inf"], "bad-s"),
+        (["poincare", "--field", "d=1", "--cutoffs", "10,20,inf", "--s", "1.5"], "bad-cutoffs"),
+        (["count", "--field", "d=1", "--cutoffs", "-5"], "bad-cutoffs"),
+        (["count", "--field", "d=1", "--cutoffs", "nan"], "bad-cutoffs"),
+        (["horoballs", "--field", "d=1", "--cutoffs", "-1"], "bad-cutoffs"),
+        (["depths", "--field", "d=1", "--cutoffs", "800"], "bad-cutoffs"),
+        # fails at once: the 3e12-entry totient sieve cannot be allocated
+        (["poincare", "--field", "rational", "--cutoffs", "1e12,2e12,3e12", "--s", "1.5"],
+         "too-large"),
+    ],
+)
+def test_bad_inputs_get_typed_codes(tmp_path, capsys, argv, code):
+    out = tmp_path / "x.json"
+    assert main(argv + ["--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"horocount-error code={code} ")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_unwritable_output(capsys):

@@ -3,6 +3,7 @@ packing checks, Poincare series partial sums and convergence verdicts."""
 
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,9 @@ from horocount.geodesics import (
     horoball_of,
     make_geodesic,
     parabolic_poincare_partial,
+    parabolic_poincare_partials,
     relative_poincare_partial,
+    relative_poincare_partials,
 )
 from horocount.ideals import InvalidDenominatorError, is_coprime, principal_ideal
 
@@ -232,6 +235,22 @@ def test_series_strictly_decreasing_in_s(K1, Q):
             assert vals[0] > vals[1] > vals[2]
 
 
+@pytest.mark.parametrize("d", ["rational", 1, 3, 5])
+def test_series_partials_equal_scalar_sums(d):
+    # one profile / histogram at the largest cutoff, read at every prefix,
+    # gives each scalar sum exactly; the cutoffs need not be sorted
+    f = make_field(d)
+    cutoffs = [40, 1, 7.5, 23, 100]
+    for s in (0.7, 1.5, 2.5):
+        for plural, scalar in (
+            (relative_poincare_partials, relative_poincare_partial),
+            (parabolic_poincare_partials, parabolic_poincare_partial),
+        ):
+            sums = plural(f, s, cutoffs)
+            assert [ps.cutoff for ps in sums] == cutoffs
+            assert sums == [scalar(f, s, c) for c in cutoffs]
+
+
 def test_relative_series_rational_s2(Q):
     # example: s = 2 > delta = 1; sums increase and the increments die out
     sums = [relative_poincare_partial(Q, 2.0, c) for c in (100, 1000, 10000)]
@@ -292,8 +311,29 @@ def test_verdict_protocol_attached_and_cases():
         convergence_verdict(mk([1.0, 2.0], [10, 20]))
 
 
+def test_verdict_without_slope_on_nonpositive_sums():
+    # all-zero sums (an underflowed parabolic series) have no log-log slope;
+    # the Cauchy test decides and no RuntimeWarning is raised
+    mk = lambda vals: [
+        SeriesPartialSum(s=1000.0, cutoff=c, value=v, kind="parabolic")
+        for v, c in zip(vals, (10, 20, 40))
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = convergence_verdict(mk([0.0, 0.0, 0.0]))
+    assert v.verdict == "converges" and v.growth_exponent is None
+    assert v.cauchy_difference == 0.0
+    assert convergence_verdict(mk([0.0, 1.0, 2.0])).growth_exponent is None
+
+
 def test_series_cutoff_validation(K1):
     with pytest.raises(ValueError):
         relative_poincare_partial(K1, 2.0, 0.5)
     with pytest.raises(ValueError):
         parabolic_poincare_partial(K1, 2.0, 0.0)
+    with pytest.raises(ValueError):
+        relative_poincare_partials(K1, 2.0, [10, math.inf])
+    with pytest.raises(ValueError):
+        parabolic_poincare_partials(K1, 2.0, [math.nan])
+    with pytest.raises(ValueError):
+        relative_poincare_partials(K1, 2.0, [])

@@ -3,6 +3,7 @@ Moebius function, and the norm-ellipse enumeration engine."""
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -31,6 +32,7 @@ from horocount.ideals import (
     mobius_ideal,
     mobius_norm_coefficients,
     mobius_reciprocal_partial,
+    norm_histogram,
     pair_ideal_norm,
     prime_ideal_lattice,
     prime_ideals_above,
@@ -363,6 +365,18 @@ def test_count_and_sum_matches_enumeration(K1, K3, Q):
             count, total = count_and_sum_norms(f, lattice, bound)
             assert count == len(pts)
             assert total == sum(norm(f, x) for x in pts)
+
+
+@pytest.mark.parametrize("d", ["rational", 1, 2, 3, 5, 7])
+def test_norm_histogram_matches_enumeration(d):
+    f = make_field(d)
+    (_, prime), *_ = prime_ideals_above(f, 3)
+    for lattice in (unit_ideal(f), prime):
+        for bound in (0, 1, 200):
+            hist = norm_histogram(f, lattice, bound)
+            want = Counter(norm(f, x) for x in enumerate_norm_le(f, lattice, bound))
+            assert len(hist) == bound + 1
+            assert {n: int(c) for n, c in enumerate(hist) if c} == want
 
 
 def test_row_partition_independence(K1):
