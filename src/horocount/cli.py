@@ -24,7 +24,6 @@ from .field import (
     FieldSpec,
     InvalidFieldError,
     UnsupportedFieldError,
-    RingElement,
     ideal_count_coefficients,
     kronecker_character,
     make_field,
@@ -34,7 +33,6 @@ from .field import (
 )
 from .ideals import (
     ideal_divisors,
-    is_coprime,
     mobius_ideal,
     mobius_reciprocal_partial,
     principal_ideal,
@@ -46,6 +44,10 @@ from .ideals import (
 SCHEMA_ID = "horocount.run/1"
 COMMANDS = ("count", "zeta", "classnum", "depths", "horoballs", "poincare", "verify")
 BIG_INT = 2**53
+# horoballs refuses a bound whose estimated ball count, phi_asymptotic(bound),
+# is past this: at the ceiling one run took 23 s (Q) to 52 s (d = 3) on one
+# 2-vCPU VM core and peaked near 700 MB
+HOROBALL_CEILING = 150_000
 
 
 class CliError(ValueError):
@@ -181,24 +183,18 @@ def _cmd_depths(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, {}
 
 
-def _canonical_balls(f: FieldSpec, bound: int) -> list[geodesics.Horoball]:
-    """One Ford ball per fraction class with denominator norm <= bound."""
-    balls = []
-    for q in counting.unit_orbit_reps(f, bound):
-        ideal = principal_ideal(f, q)
-        for y in range(ideal.gamma):
-            for x in range(ideal.alpha):
-                p = RingElement(x, y)
-                if not is_coprime(f, p, q):
-                    continue
-                balls.append(geodesics.horoball_of(geodesics.make_geodesic(f, p, q)))
-    return balls
-
-
 def _cmd_horoballs(config: RunConfig) -> tuple[list[dict], dict]:
     f = config.field
     bound = int(config.cutoffs[-1])
-    balls = _canonical_balls(f, bound)
+    # a size, not a result: a loose zeta_K(2) keeps its series short
+    estimate = counting.phi_asymptotic(f, float(bound), tol=1e-3)
+    if estimate > HOROBALL_CEILING:
+        raise CliError(
+            "too-large",
+            f"N(q) <= {config.cutoffs[-1]:g} means about {estimate:.4g} horoballs, "
+            f"more than the {HOROBALL_CEILING:,} one run checks",
+        )
+    balls = geodesics.canonical_balls(f, bound)
     rows = []
     for ball in balls:
         if f.is_rational:
@@ -236,6 +232,8 @@ def _cmd_poincare(config: RunConfig) -> tuple[list[dict], dict]:
         "relative": geodesics.relative_poincare_partials(f, s, config.cutoffs),
         "parabolic": geodesics.parabolic_poincare_partials(f, s, config.cutoffs),
     }
+    if not all(math.isfinite(ps.value) for series in sums.values() for ps in series):
+        raise CliError("bad-s", f"--s {s} makes a partial sum overflow the float range")
     rows = []
     for pair in zip(*sums.values()):  # per cutoff: relative, then parabolic
         for ps in pair:
@@ -348,7 +346,7 @@ def _verify_checks(f: FieldSpec, bound: int):
     )
 
     pack_bound = min(bound, 30)
-    balls = _canonical_balls(f, pack_bound)
+    balls = geodesics.canonical_balls(f, pack_bound)
     report = geodesics.check_disjoint(balls)
     yield (
         "horoball-packing",

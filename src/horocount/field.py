@@ -11,6 +11,7 @@ case b = 0.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
@@ -285,7 +286,9 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
     The L-series is truncated at N terms with the Abel bound
     |tail| <= 2*M/(N+1)^2, M the maximal character partial sum, so the
     returned value is certified to tol (floating point summation error is
-    orders of magnitude below the bound at the N involved).
+    orders of magnitude below the bound at the N involved).  A tol so small
+    that the N-term array could not be indexed raises OverflowError before
+    anything is allocated.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -293,6 +296,11 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
         return _ZETA2
     tab, m = _character_table(f)
     n_terms = isqrt(int(4 * m * _ZETA2 / tol)) + 1
+    if n_terms > sys.maxsize // 8:  # the int64 array of n would pass ssize_t bytes
+        raise OverflowError(
+            f"zeta_K(2) to tol={tol:g} needs {float(n_terms):.3g} terms, past the largest "
+            "array this machine can index"
+        )
     n = np.arange(1, n_terms + 1, dtype=np.int64)
     chi = np.asarray(tab, dtype=np.float64)[n % f.D]
     l_value = float(np.sum(chi / (n.astype(np.float64) ** 2)))

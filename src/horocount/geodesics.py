@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import phi, phi_profile, resolve_method
+from .counting import phi, phi_profile, resolve_method, unit_orbit_reps
 from .field import (
     FieldSpec,
     RingElement,
@@ -202,47 +202,137 @@ def ford_ball(f: FieldSpec, p: RingElement, q: RingElement) -> Horoball:
     return horoball_of(g)
 
 
-def _center_dist_sq(f: FieldSpec, a: Horoball, b: Horoball) -> Fraction:
-    if f.is_rational:
-        delta = a.center - b.center
-        return delta * delta
-    (re1, im1), (re2, im2) = a.center, b.center
-    dre, dim = re1 - re2, im1 - im2
-    return dre * dre + f.d * dim * dim
+def canonical_balls(f: FieldSpec, bound: int) -> list[Horoball]:
+    """One Ford ball per fraction class with 1 <= N(q) <= bound: the ball of
+    the canonical representative of each coprime residue p in the HNF box of
+    (q), for one denominator q per unit orbit."""
+    balls = []
+    for q in unit_orbit_reps(f, bound):
+        ideal = principal_ideal(f, q)
+        for y in range(ideal.gamma):
+            for x in range(ideal.alpha):
+                p = RingElement(x, y)
+                if is_coprime(f, p, q):
+                    balls.append(horoball_of(make_geodesic(f, p, q)))
+    return balls
+
+
+def _integer_form(f: FieldSpec, ball: Horoball) -> tuple[int, int, int, int, int]:
+    """(X, Y, D, dn, dd): the center (X/D, Y/D) over one denominator D > 0
+    (Y = 0 over Q) and the diameter dn/dd with dd > 0."""
+    re, im = (ball.center, 0) if f.is_rational else ball.center
+    den = math.lcm(re.denominator, im.denominator)
+    return (
+        re.numerator * (den // re.denominator),
+        im.numerator * (den // im.denominator),
+        den,
+        ball.diameter.numerator,
+        ball.diameter.denominator,
+    )
+
+
+def _is_ford_ball_of_source(f: FieldSpec, ball: Horoball) -> bool:
+    """Whether the ball is exactly the Ford ball of its source fraction p/q:
+    center p/q as _center_of writes it, diameter 1/|q|^2."""
+    src = ball.source
+    n = arch_norm_sq(f, src.q)
+    return (
+        n != 0
+        and ball.diameter == Fraction(1, n)
+        and ball.center == _center_of(f, src.p, src.q)
+    )
 
 
 def check_disjoint(balls: list[Horoball]) -> DisjointnessReport:
-    """Exact pairwise disjointness of horoball interiors.
+    """Exact disjointness of horoball interiors, by a sweep along Re.
 
     Two balls tangent to the boundary at c1, c2 with diameters d1, d2 have
     disjoint interiors iff |c1 - c2|^2 >= d1*d2, with equality exactly at
-    tangency; every comparison is exact rational arithmetic.  Each verdict
-    is cross-checked against the unimodularity criterion
-    N-form(p*s - q*r) = 1 on the source fractions.
+    tangency.  Each verdict is cross-checked against the unimodularity
+    criterion |p1*q2 - p2*q1|^2 = 1 on the source fractions; a pair whose
+    verdict says tangent and whose sources are not unimodular, or the
+    reverse, is a mismatch.  Pairs are reported as (i, j), i < j, in
+    lexicographic order.
+
+    Only pairs that can touch are compared.  A pair with
+    |c1 - c2|^2 > d1*d2 is neither an overlap nor a tangency, and it is no
+    mismatch either, by the identity
+    |p1*q2 - p2*q1|^2 = |c1 - c2|^2 * N(q1) * N(q2) > d1*d2 * N(q1) * N(q2) = 1,
+    which holds when each ball is exactly the Ford ball of its source
+    (center p/q, diameter 1/|q|^2).  That is checked once per ball.  The
+    balls that pass are sorted by their real center, and each scans out in
+    both directions for partners no larger than itself (d2 <= d1), stopping
+    at the first ball with dRe^2 > d1^2: since |c1 - c2|^2 >= dRe^2 and
+    d1*d2 <= d1^2, every smaller partner farther out is apart.  Each pair
+    is looked at once, from its larger ball, and only a pair found touching
+    gets the cross-check.  A ball that fails the source check is compared
+    with every other ball, verdict and cross-check, so the report equals
+    that of a comparison of all n(n-1)/2 pairs.
+
+    Every test is exact integer arithmetic on (X, Y, D, dn, dd), the center
+    (X/D, Y/D) and the diameter dn/dd, by cross-multiplication.
     """
     if not balls:
         return DisjointnessReport([], [], [])
     f = balls[0].field
     if any(ball.field != f for ball in balls):
         raise MixedFieldError("all horoballs must come from the same field")
+    form = [_integer_form(f, ball) for ball in balls]
+    dim_weight = 0 if f.is_rational else f.d  # |c|^2 = re^2 + d * (im/sqrt(d))^2
     overlaps: list[tuple[int, int]] = []
     tangencies: list[tuple[int, int]] = []
     mismatches: list[tuple[int, int]] = []
-    for i in range(len(balls)):
-        for j in range(i + 1, len(balls)):
-            a, b = balls[i], balls[j]
-            dist_sq = _center_dist_sq(f, a, b)
-            prod = a.diameter * b.diameter
-            tangent = dist_sq == prod
-            if dist_sq < prod:
-                overlaps.append((i, j))
-            elif tangent:
-                tangencies.append((i, j))
-            cross = sub(
-                mul(f, a.source.p, b.source.q), mul(f, a.source.q, b.source.p)
-            )
-            if tangent != (arch_norm_sq(f, cross) == 1):
-                mismatches.append((i, j))
+
+    def gap(i: int, j: int) -> int:
+        """The sign of |c_i - c_j|^2 - d_i*d_j: -1 overlap, 0 tangency, 1 apart.
+        Both sides are taken times (D_i*D_j)^2 * dd_i * dd_j > 0."""
+        xi, yi, di, ni, mi = form[i]
+        xj, yj, dj, nj, mj = form[j]
+        dist = ((xi * dj - xj * di) ** 2 + dim_weight * (yi * dj - yj * di) ** 2) * mi * mj
+        prod = ni * nj * (di * dj) ** 2
+        return (dist > prod) - (dist < prod)
+
+    def record(i: int, j: int, sign: int) -> None:
+        if sign < 0:
+            overlaps.append((i, j))
+        elif sign == 0:
+            tangencies.append((i, j))
+        a, b = balls[i].source, balls[j].source
+        cross = sub(mul(f, a.p, b.q), mul(f, a.q, b.p))
+        if (sign == 0) != (arch_norm_sq(f, cross) == 1):
+            mismatches.append((i, j))
+
+    faithful = [_is_ford_ball_of_source(f, ball) for ball in balls]
+    order = sorted(
+        (i for i, ok in enumerate(faithful) if ok),
+        key=lambda i: Fraction(form[i][0], form[i][2]),
+    )
+    # a pair is looked at from its larger ball (by diameter, ties by position)
+    rank = [0] * len(balls)
+    for r, i in enumerate(sorted(order, key=lambda i: balls[i].diameter)):
+        rank[i] = r
+    for k, i in enumerate(order):
+        xi, _, di, ni, mi = form[i]
+        for step in (1, -1):
+            pos = k + step
+            while 0 <= pos < len(order):
+                j = order[pos]
+                pos += step
+                xj, _, dj, _, _ = form[j]
+                # dRe^2 > d_i^2, times (D_i*D_j)^2 * dd_i^2
+                if (xj * di - xi * dj) ** 2 * mi * mi > ni * ni * (di * dj) ** 2:
+                    break
+                if rank[j] < rank[i]:
+                    sign = gap(i, j)
+                    if sign <= 0:
+                        record(min(i, j), max(i, j), sign)
+    for i, ok in enumerate(faithful):
+        if not ok:
+            for j in range(len(balls)):
+                if j != i and (faithful[j] or i < j):
+                    record(min(i, j), max(i, j), gap(i, j))
+    for pairs in (overlaps, tangencies, mismatches):
+        pairs.sort()
     return DisjointnessReport(overlaps, tangencies, mismatches)
 
 
@@ -269,7 +359,9 @@ def relative_poincare_partials(
     quadratic case and q^(-2s) over Q.  The weight w[n] (sum of Phi(q) over
     N(q) = n) comes from one phi profile up to the largest cutoff, by the
     method resolve_method picks for 'auto'; each sum is a dot product over
-    a prefix of the same arrays.
+    a prefix of the same arrays.  An s so negative that a term overflows
+    gives a non-finite value (inf, or nan where a zero weight meets an
+    infinite term), without a warning.
     """
     bounds = _series_bounds(cutoffs, square=False)
     top = max(bounds)
@@ -278,12 +370,13 @@ def relative_poincare_partials(
     n = np.arange(top + 1, dtype=np.float64)
     n[0] = 1.0
     exponent = 2.0 * s if f.is_rational else s
-    terms = n ** (-exponent)
-    return [
-        SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(weights[: b + 1], terms[: b + 1])),
-                         kind="relative")
-        for c, b in zip(cutoffs, bounds)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = n ** (-exponent)
+        return [
+            SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(weights[: b + 1], terms[: b + 1])),
+                             kind="relative")
+            for c, b in zip(cutoffs, bounds)
+        ]
 
 
 def parabolic_poincare_partials(
@@ -294,7 +387,9 @@ def parabolic_poincare_partials(
     half-space distance between height-1 points, d = 2 * arcsinh(|c| / 2).
 
     One norm histogram of O up to the largest cutoff; each sum is a dot
-    product over a prefix of it.
+    product over a prefix of it.  As for the relative series, an s so
+    negative that a term overflows gives a non-finite value, without a
+    warning.
     """
     bounds = _series_bounds(cutoffs, square=not f.is_rational)
     top = max(bounds)
@@ -303,13 +398,13 @@ def parabolic_poincare_partials(
     abs_c = n if f.is_rational else np.sqrt(n)
     # e^(-2s*arcsinh(t)) = (t + sqrt(1 + t^2))^(-2s) with t = |c|/2
     t = abs_c / 2.0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         terms = (t + np.sqrt(1.0 + t * t)) ** (-2.0 * s)
-    return [
-        SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(hist[1 : b + 1], terms[1 : b + 1])),
-                         kind="parabolic")
-        for c, b in zip(cutoffs, bounds)
-    ]
+        return [
+            SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(hist[1 : b + 1], terms[1 : b + 1])),
+                             kind="parabolic")
+            for c, b in zip(cutoffs, bounds)
+        ]
 
 
 def relative_poincare_partial(f: FieldSpec, s: float, cutoff: float) -> SeriesPartialSum:
@@ -386,6 +481,7 @@ __all__ = [
     "growth_rate",
     "horoball_of",
     "ford_ball",
+    "canonical_balls",
     "check_disjoint",
     "relative_poincare_partial",
     "parabolic_poincare_partial",

@@ -20,10 +20,8 @@ from horocount.counting import (
     phi_bruteforce,
     phi_profile,
     totient_summatory,
-    unit_orbit_reps,
 )
 from horocount.field import (
-    RingElement,
     class_number,
     make_field,
     residue_K,
@@ -31,19 +29,16 @@ from horocount.field import (
     zeta_K_2_via_ideal_counts,
 )
 from horocount.geodesics import (
+    canonical_balls,
     check_disjoint,
     convergence_verdict,
     growth_rate,
-    horoball_of,
-    make_geodesic,
     parabolic_poincare_partial,
     relative_poincare_partial,
 )
 from horocount.ideals import (
-    is_coprime,
     mobius_reciprocal_partial,
     prime_ideals_above,
-    principal_ideal,
     unit_ideal,
 )
 
@@ -190,21 +185,9 @@ def test_criterion_09_growth_rate():
     )
 
 
-def _canonical_balls(f, bound):
-    balls = []
-    for q in unit_orbit_reps(f, bound):
-        lattice = principal_ideal(f, q)
-        for y in range(lattice.gamma):
-            for x in range(lattice.alpha):
-                p = RingElement(x, y)
-                if is_coprime(f, p, q):
-                    balls.append(horoball_of(make_geodesic(f, p, q)))
-    return balls
-
-
 def test_criterion_10_horoball_packing():
-    rep_q = check_disjoint(_canonical_balls(Q, 50))
-    rep_1 = check_disjoint(_canonical_balls(K1, 30))
+    rep_q = check_disjoint(canonical_balls(Q, 50))
+    rep_1 = check_disjoint(canonical_balls(K1, 30))
     ok = (
         not rep_q.overlaps
         and not rep_q.unimodular_mismatches

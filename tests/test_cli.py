@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import json
+import time
 import warnings
 from importlib import resources
 
@@ -253,14 +254,30 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         # fails at once: the 3e12-entry totient sieve cannot be allocated
         (["poincare", "--field", "rational", "--cutoffs", "1e12,2e12,3e12", "--s", "1.5"],
          "too-large"),
+        # the parabolic and relative terms overflow to inf
+        (["poincare", "--field", "d=1", "--cutoffs", "10,20,40", "--s", "-1000"], "bad-s"),
+        # about 2.6e150 character terms, refused before numpy sees the size
+        (["zeta", "--field", "d=1", "--tolerance", "1e-300"], "too-large"),
     ],
 )
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text
 def test_bad_inputs_get_typed_codes(tmp_path, capsys, argv, code):
     out = tmp_path / "x.json"
     assert main(argv + ["--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"horocount-error code={code} ")
     assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_horoballs_past_the_ceiling_refused_at_once(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    start = time.monotonic()
+    code = main(["horoballs", "--field", "d=1", "--cutoffs", "1e30", "--output", str(out)])
+    elapsed = time.monotonic() - start
+    err = capsys.readouterr().err
+    assert code == 2 and elapsed < 1.0
+    assert err.startswith("horocount-error code=too-large ") and err.count("\n") == 1
     assert not out.exists()
 
 

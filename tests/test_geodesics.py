@@ -1,6 +1,7 @@
 """Geodesic dictionary: depth, canonical fractions, Ford balls with exact
 packing checks, Poincare series partial sums and convergence verdicts."""
 
+import dataclasses
 import math
 import random
 import warnings
@@ -8,12 +9,14 @@ from fractions import Fraction
 
 import pytest
 
-from horocount.counting import phi, unit_orbit_reps
-from horocount.field import RingElement, make_field, mul, norm, units
+from horocount.counting import phi
+from horocount.field import RingElement, arch_norm_sq, make_field, mul, norm, sub, units
 from horocount.geodesics import (
+    DisjointnessReport,
     MixedFieldError,
     NonCoprimeError,
     SeriesPartialSum,
+    canonical_balls,
     check_disjoint,
     convergence_verdict,
     depth_counting,
@@ -26,19 +29,7 @@ from horocount.geodesics import (
     relative_poincare_partial,
     relative_poincare_partials,
 )
-from horocount.ideals import InvalidDenominatorError, is_coprime, principal_ideal
-
-
-def canonical_balls(f, bound):
-    balls = []
-    for q in unit_orbit_reps(f, bound):
-        lattice = principal_ideal(f, q)
-        for y in range(lattice.gamma):
-            for x in range(lattice.alpha):
-                p = RingElement(x, y)
-                if is_coprime(f, p, q):
-                    balls.append(horoball_of(make_geodesic(f, p, q)))
-    return balls
+from horocount.ideals import InvalidDenominatorError, is_coprime
 
 
 # ----------------------------------------------------------------------
@@ -205,6 +196,121 @@ def test_raw_window_packing(Q):
     ]
     report = check_disjoint(balls)
     assert report.overlaps == [] and report.unimodular_mismatches == []
+
+
+def test_canonical_balls_one_per_class(Q, K1, K5):
+    for f, bound in ((Q, 30), (K1, 20), (K5, 20)):
+        balls = canonical_balls(f, bound)
+        assert len(balls) == phi(f, bound)
+        assert len({(b.source.p, b.source.q) for b in balls}) == len(balls)
+        assert all(b == horoball_of(make_geodesic(f, b.source.p, b.source.q)) for b in balls)
+
+
+def _pairwise_report(balls):
+    """The reference check_disjoint: every one of the n(n-1)/2 pairs, in
+    Fraction arithmetic, in (i, j) order."""
+    if not balls:
+        return DisjointnessReport([], [], [])
+    f = balls[0].field
+    overlaps, tangencies, mismatches = [], [], []
+    for i in range(len(balls)):
+        for j in range(i + 1, len(balls)):
+            a, b = balls[i], balls[j]
+            if f.is_rational:
+                dist_sq = (a.center - b.center) ** 2
+            else:
+                (re1, im1), (re2, im2) = a.center, b.center
+                dist_sq = (re1 - re2) ** 2 + f.d * (im1 - im2) ** 2
+            prod = a.diameter * b.diameter
+            tangent = dist_sq == prod
+            if dist_sq < prod:
+                overlaps.append((i, j))
+            elif tangent:
+                tangencies.append((i, j))
+            cross = sub(mul(f, a.source.p, b.source.q), mul(f, a.source.q, b.source.p))
+            if tangent != (arch_norm_sq(f, cross) == 1):
+                mismatches.append((i, j))
+    return DisjointnessReport(overlaps, tangencies, mismatches)
+
+
+def _raw_window(f, denominators, numerators):
+    return [
+        ford_ball(f, p, q)
+        for q in denominators
+        for p in numerators
+        if not q.is_zero() and is_coprime(f, p, q)
+    ]
+
+
+def _corrupted(seed):
+    """Canonical balls with one ball's center, diameter or source fraction
+    altered, plus one ball listed twice."""
+    rng = random.Random(seed)
+    f = make_field("rational") if seed % 2 else make_field(1)
+    balls = canonical_balls(f, 14 if f.is_rational else 8)
+    k = rng.randrange(len(balls))
+    ball = balls[k]
+    kind = seed % 3
+    if kind == 0:
+        ball = dataclasses.replace(ball, diameter=ball.diameter * Fraction(rng.choice((2, 3)), 5))
+    elif kind == 1:
+        shift = Fraction(1, rng.choice((3, 7, 11)))
+        center = (
+            ball.center + shift
+            if f.is_rational
+            else (ball.center[0] + shift, ball.center[1])
+        )
+        ball = dataclasses.replace(ball, center=center)
+    else:
+        src = ball.source
+        moved = RingElement(src.p.a + rng.choice((1, 2)), src.p.b)
+        ball = dataclasses.replace(ball, source=dataclasses.replace(src, p=moved))
+    balls[k] = ball
+    balls.append(balls[rng.randrange(len(balls))])
+    return balls
+
+
+_ZI = [RingElement(a, b) for a in range(-3, 4) for b in range(-3, 4)]
+_SWEEP_INPUTS = {
+    "Q-50": lambda: canonical_balls(make_field("rational"), 50),
+    **{
+        f"d={d}": (lambda d=d, b=b: canonical_balls(make_field(d), b))
+        for d, b in ((1, 20), (2, 20), (3, 24), (5, 16), (7, 24), (15, 16), (58, 12), (123, 12))
+    },
+    "raw-Q": lambda: _raw_window(
+        make_field("rational"),
+        [RingElement(q) for q in range(1, 16)],
+        [RingElement(p) for p in range(-15, 31)],
+    ),
+    "raw-d=1": lambda: _raw_window(
+        make_field(1), [q for q in _ZI if norm(make_field(1), q) <= 5], _ZI[::2]
+    ),
+    # every center has real part 0
+    "ties": lambda: _raw_window(
+        make_field(1),
+        [RingElement(q) for q in range(1, 5)],
+        [RingElement(0, b) for b in range(-4, 5)],
+    ),
+    "empty": lambda: [],
+    "single": lambda: canonical_balls(make_field(2), 1),
+    **{f"corrupted-{seed}": (lambda seed=seed: _corrupted(seed)) for seed in range(20)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_INPUTS))
+def test_check_disjoint_equals_pairwise(name):
+    balls = _SWEEP_INPUTS[name]()
+    assert check_disjoint(balls) == _pairwise_report(balls)
+
+
+def test_sweep_oracle_inputs_hit_every_list():
+    overlapping = _SWEEP_INPUTS["raw-d=1"]()
+    assert check_disjoint(overlapping).overlaps
+    assert any(
+        check_disjoint(_corrupted(seed)).unimodular_mismatches for seed in range(20)
+    )
+    ties = _SWEEP_INPUTS["ties"]()
+    assert len({ball.center[0] for ball in ties}) == 1 < len(ties)
 
 
 # ----------------------------------------------------------------------
