@@ -121,11 +121,6 @@ def _methods_for(config: RunConfig) -> list[str]:
 def _cmd_count(config: RunConfig) -> tuple[list[dict], dict]:
     f = config.field
     methods = _methods_for(config)
-    for m in methods:
-        try:
-            counting.resolve_method(f, m)
-        except UnsupportedFieldError as exc:
-            raise CliError("unsupported-field", str(exc)) from None
     rows = []
     top = int(config.cutoffs[-1])
     profiles = {m: counting.phi_profile(f, top, method=m) for m in methods}
@@ -268,19 +263,12 @@ def _verify_checks(f: FieldSpec, bound: int):
     """Yield (name, passed, detail) for each property check."""
     x_small = min(bound, 300)
     brute = counting.phi_profile(f, x_small, method="brute")
-    if f.is_rational or f.h == 1:
-        mob = counting.phi_profile(f, x_small, method="mobius")
-        yield (
-            "phi-cross-method",
-            brute == mob,
-            f"brute == mobius on every integer x <= {x_small}",
-        )
-    else:
-        yield (
-            "phi-cross-method",
-            all(a <= b for a, b in zip(brute, brute[1:])),
-            f"h={f.h}: mobius unsupported, checked brute monotonicity to {x_small}",
-        )
+    mob = counting.phi_profile(f, x_small, method="mobius")
+    yield (
+        "phi-cross-method",
+        brute == mob,
+        f"brute == mobius on every integer x <= {x_small}",
+    )
 
     if f.is_rational:
         sieve_val = counting.totient_summatory(x_small)

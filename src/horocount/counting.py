@@ -12,12 +12,20 @@ integer-for-integer:
   count coprime residues directly; every field.  It is the oracle, so it
   shares no logic with the other two;
 * mobius -- phi(x) = sum over squarefree ideals I of mu(I) * T_I(x) / N(I),
-  with T_I(x) the norm sum over principal ideals inside I; Q and
-  class-number-1 fields;
+  with T_I(x) the norm sum over principal ideals inside I; every field, Q
+  included, with the squarefree ideals built as products of distinct primes;
 * sieve -- the Euler totient sieve; Q only.
 
-resolve_method maps 'auto' to the sieve over Q, mobius when h = 1 and brute
-otherwise, and rejects a method the field does not support.
+resolve_method maps 'auto' to the sieve over Q and to mobius for every
+imaginary quadratic field, and rejects a method the field does not support.
+
+Int64 ceilings:
+* the Moebius inc[n] sums terms mu(I) * (elements of norm n in I) / w * n / N(I),
+  each below n times the lattice points of norm n, and the cumsum of any
+  kernel is phi(x), about c * x^2 with c <= 3/pi^2, so both are exact for x
+  below about 5 * 10^9, far past the memory the (x + 1)-cell arrays need;
+* _coprime_count_box takes the norm form on its residue box, below
+  (d + 2) * N(q)^2, so it is exact for N(q) below 3 * 10^9 / sqrt(d + 2).
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import mobius_sieve, totient_sieve
+from .arith import totient_sieve
 from .field import (
     FieldSpec,
     RingElement,
@@ -45,9 +53,9 @@ from .ideals import (
     _norm_form,
     count_and_sum_norms,
     enumerate_norm_le,
-    mobius_ideal,
     norm_histogram,
     principal_ideal,
+    squarefree_ideals,
     unit_ideal,
 )
 
@@ -123,21 +131,10 @@ def _brute_increments(f: FieldSpec, bound: int) -> np.ndarray:
 def _mobius_increments(f: FieldSpec, bound: int) -> np.ndarray:
     """inc[n] = the norm-n terms of sum over squarefree I of mu(I) T_I / N(I).
 
-    A principal ideal (q) inside I with N(q) = n adds mu(I) * n / N(I); over
-    Q the ideals are (n) and their multiples k*n each add mu(n) * k.
+    A principal ideal (q) inside I with N(q) = n adds mu(I) * n / N(I).
     """
     inc = np.zeros(bound + 1, dtype=np.int64)
-    if f.is_rational:
-        mu = mobius_sieve(bound)
-        for n in range(1, bound + 1):
-            if mu[n]:
-                inc[n::n] += mu[n] * np.arange(1, bound // n + 1, dtype=np.int64)
-        return inc
-    for q in unit_orbit_reps(f, bound):
-        ideal = principal_ideal(f, q)
-        m = mobius_ideal(f, ideal)
-        if m == 0:
-            continue
+    for m, ideal in squarefree_ideals(f, bound):
         hist = norm_histogram(f, ideal, bound)
         hits = hist[:: ideal.norm]  # hits[k]: elements of norm k * N(I)
         # N(I) divides every norm in I, and the w units act freely
@@ -151,24 +148,18 @@ def _mobius_increments(f: FieldSpec, bound: int) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 def resolve_method(f: FieldSpec, method: str = "auto") -> str:
-    """The method phi_profile runs: 'auto' is the sieve over Q, the Moebius
-    route when h = 1 and brute force otherwise.
+    """The method phi_profile runs: 'auto' is the sieve over Q and the
+    Moebius route over every imaginary quadratic field.
 
-    Raises UnsupportedFieldError for a method the field lacks (the sieve is
-    rational-only, the Moebius route needs h = 1) and ValueError for an
-    unknown one.
+    Raises UnsupportedFieldError for the sieve off Q, the one method a field
+    can lack, and ValueError for an unknown method.
     """
     if method == "auto":
-        return "sieve" if f.is_rational else ("mobius" if f.h == 1 else "brute")
+        return "sieve" if f.is_rational else "mobius"
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if method == "sieve" and not f.is_rational:
         raise UnsupportedFieldError("the totient sieve is a rational-field method")
-    if method == "mobius" and not f.is_rational and f.h != 1:
-        raise UnsupportedFieldError(
-            f"Moebius sieve needs class number 1, but {f!r} has h = {f.h}; "
-            "use the brute-force method"
-        )
     return method
 
 
@@ -205,7 +196,7 @@ def phi_bruteforce(f: FieldSpec, x: float) -> int:
 
 
 def phi_mobius(f: FieldSpec, x: float) -> int:
-    """phi(x) via the ideal Moebius sieve; Q and class-number-1 fields only."""
+    """phi(x) via the Moebius sum over squarefree ideals; every field."""
     return phi(f, x, "mobius")
 
 

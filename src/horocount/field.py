@@ -295,12 +295,14 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
     if f.is_rational:
         return _ZETA2
     tab, m = _character_table(f)
-    n_terms = isqrt(int(4 * m * _ZETA2 / tol)) + 1
-    if n_terms > sys.maxsize // 8:  # the int64 array of n would pass ssize_t bytes
+    # the term count in floats first: 4*M*zeta(2)/tol is inf for tol below about 1e-308
+    approx_terms = math.sqrt(4 * m * _ZETA2) / math.sqrt(tol)
+    if approx_terms > sys.maxsize // 8:  # the int64 array of n would pass ssize_t bytes
         raise OverflowError(
-            f"zeta_K(2) to tol={tol:g} needs {float(n_terms):.3g} terms, past the largest "
+            f"zeta_K(2) to tol={tol:g} needs {approx_terms:.3g} terms, past the largest "
             "array this machine can index"
         )
+    n_terms = isqrt(int(4 * m * _ZETA2 / tol)) + 1
     n = np.arange(1, n_terms + 1, dtype=np.int64)
     chi = np.asarray(tab, dtype=np.float64)[n % f.D]
     l_value = float(np.sum(chi / (n.astype(np.float64) ** 2)))

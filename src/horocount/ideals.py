@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import factorize, mobius_sieve, sqrt_mod_prime, xgcd
+from .arith import factorize, mobius_sieve, primes_up_to, sqrt_mod_prime, xgcd
 from .field import (
     FieldSpec,
     RingElement,
@@ -350,6 +350,31 @@ def mobius_ideal(f: FieldSpec, ideal: LatticeIdeal) -> int:
     return -1 if len(factors) % 2 else 1
 
 
+def squarefree_ideals(f: FieldSpec, bound: int) -> Iterator[tuple[int, LatticeIdeal]]:
+    """(mu(I), I) for every squarefree ideal I with N(I) <= bound, each once.
+
+    The ideals are the products of distinct primes, built by a depth-first
+    search over the primes in order of norm; mu(I) = (-1)^k for k primes is
+    known by construction, and a branch stops where the next prime would
+    push the norm past bound.
+    """
+    if bound < 1:
+        return
+    primes = sorted(
+        (lat for p in primes_up_to(bound) for _, lat in prime_ideals_above(f, p)
+         if lat.norm <= bound),
+        key=lambda lat: lat.norm,
+    )
+    stack = [(unit_ideal(f), 1, 0)]  # (ideal, mu, index of the next prime to try)
+    while stack:
+        ideal, mu, start = stack.pop()
+        yield mu, ideal
+        for i in range(start, len(primes)):
+            if ideal.norm * primes[i].norm > bound:
+                break
+            stack.append((ideal_mul(f, ideal, primes[i]), -mu, i + 1))
+
+
 def ideal_divisors(f: FieldSpec, ideal: LatticeIdeal) -> list[LatticeIdeal]:
     """All ideals dividing the given one (products over its prime support)."""
     divs = [unit_ideal(f)]
@@ -431,12 +456,20 @@ def enumerate_norm_le(
 
 
 def _norm_form(f: FieldSpec, u, v):
-    """N(u + v*omega) elementwise, for int64 arrays (or ints) u and v."""
+    """N(u + v*omega) elementwise, for int64 arrays (or ints) u and v.
+
+    Int64 holds it while each term u^2, u*v and d*v^2 stays below 2^63; on a
+    row of _rows_norm_le each is a few times bound at most, so every bound
+    below 2^60 is exact.
+    """
     if f.is_rational:
         return np.abs(u)
     if f.half_basis:
         return u * u + u * v + f.half_m * v * v
     return u * u + f.d * v * v
+
+
+_HISTOGRAM_BLOCK = 1 << 18  # lattice points (2 MB of int64 norms) per bincount in norm_histogram
 
 
 def _row_norms(f: FieldSpec, lattice: LatticeIdeal, bound: int) -> Iterator[np.ndarray]:
@@ -463,12 +496,21 @@ def norm_histogram(
 ) -> np.ndarray:
     """counts[n] = number of nonzero lattice elements of norm exactly n <= bound.
 
-    One bincount over the norms of every row, so the cost is linear in the
-    number of lattice points plus the bound.
+    One bincount per block of about _HISTOGRAM_BLOCK lattice points, summed:
+    the cost is the lattice points plus one pass over bound + 1 cells per
+    block, and the transient beside the result is one block and one bincount.
     """
-    # the empty head keeps concatenate defined when bound < 0 yields no rows
-    norms = np.concatenate([np.zeros(0, dtype=np.int64), *_row_norms(f, lattice, bound)])
-    counts = np.bincount(norms, minlength=bound + 1)[: bound + 1]
+    counts = np.zeros(bound + 1, dtype=np.int64)
+    block: list[np.ndarray] = []
+    filled = 0
+    for norms in _row_norms(f, lattice, bound):
+        block.append(norms)
+        filled += len(norms)
+        if filled >= _HISTOGRAM_BLOCK:
+            counts += np.bincount(np.concatenate(block), minlength=bound + 1)
+            block, filled = [], 0
+    if block:
+        counts += np.bincount(np.concatenate(block), minlength=bound + 1)
     if bound >= 0:
         counts[0] = 0
     return counts
@@ -527,6 +569,7 @@ __all__ = [
     "prime_ideal_lattice",
     "factor_ideal",
     "mobius_ideal",
+    "squarefree_ideals",
     "ideal_divisors",
     "is_principal",
     "enumerate_norm_le",

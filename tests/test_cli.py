@@ -67,8 +67,20 @@ def test_count_rational_both_methods(tmp_path, schema):
     assert values["brute"] == values["mobius"] == [32, 3044]
 
 
+def test_count_both_methods_class_number_2(tmp_path, schema):
+    code, doc = run_json(
+        tmp_path, ["count", "--field", "d=5", "--cutoffs", "10,100,250", "--method", "both"]
+    )
+    assert code == 0
+    jsonschema.validate(doc, schema)
+    values = {
+        m: [r["value"] for r in doc["rows"] if r["method"] == m] for m in ("brute", "mobius")
+    }
+    assert len(values["brute"]) == 3 and values["brute"] == values["mobius"]
+
+
 @pytest.mark.parametrize(
-    "field, method", [("rational", "sieve"), ("d=1", "mobius"), ("d=5", "brute")]
+    "field, method", [("rational", "sieve"), ("d=1", "mobius"), ("d=5", "mobius")]
 )
 def test_depths_rows_name_the_resolved_method(tmp_path, schema, field, method):
     cutoffs = [-1.0, 2.0, 4.0, 6.0]
@@ -228,7 +240,7 @@ def test_csv_rerun_identical_bytes(tmp_path):
         ["count", "--field", "bogus", "--cutoffs", "10"],
         ["poincare", "--field", "d=1", "--cutoffs", "10,20,40"],  # missing --s
         ["count", "--field", "d=1", "--cutoffs", "20,10"],  # not increasing
-        ["count", "--field", "d=5", "--cutoffs", "10", "--method", "mobius"],  # h=2
+        ["count", "--field", "d=1"],  # missing --cutoffs
         ["count", "--field", "d=1", "--cutoffs", "10", "--s", "2.0"],  # stray s
         ["zeta", "--field", "d=1", "--tolerance", "-1"],
     ],
@@ -258,6 +270,8 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         (["poincare", "--field", "d=1", "--cutoffs", "10,20,40", "--s", "-1000"], "bad-s"),
         # about 2.6e150 character terms, refused before numpy sees the size
         (["zeta", "--field", "d=1", "--tolerance", "1e-300"], "too-large"),
+        # 4*M*zeta(2)/tol is inf in floats; the message names the tolerance
+        (["zeta", "--field", "d=1", "--tolerance", "5e-324"], "too-large"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text
@@ -268,6 +282,9 @@ def test_bad_inputs_get_typed_codes(tmp_path, capsys, argv, code):
     assert err.startswith(f"horocount-error code={code} ")
     assert err.count("\n") == 1
     assert not out.exists()
+    if "--tolerance" in argv:  # a refused tolerance is named in the message
+        tol = float(argv[argv.index("--tolerance") + 1])
+        assert f"tol={tol:g} " in err
 
 
 def test_horoballs_past_the_ceiling_refused_at_once(tmp_path, capsys):

@@ -1,4 +1,4 @@
-"""Counting functions: brute force vs Moebius sieve vs the totient sieve,
+"""Counting functions: brute force vs the Moebius route vs the totient sieve,
 the lemma quantities S and T, the asymptotic main term, the growth exponent.
 
 The strongest oracle here is a raw pair scan that never looks at
@@ -139,18 +139,35 @@ def test_phi_mobius_pointwise(K1, K3):
         assert phi_mobius(f, x) == phi_bruteforce(f, x)
 
 
-def test_phi_mobius_rejects_h_gt_1(K5):
-    with pytest.raises(UnsupportedFieldError):
-        phi_mobius(K5, 50)
-    with pytest.raises(UnsupportedFieldError):
-        phi_profile(K5, 50, method="mobius")
+def test_phi_mobius_matches_brute_h_gt_1(K5):
+    for x in (1, 2, 50, 317):
+        assert phi_mobius(K5, x) == phi_bruteforce(K5, x), x
+    assert phi_profile(K5, 50, method="mobius") == phi_profile(K5, 50, method="brute")
+
+
+# pinned before any result was seen: h = 1 | 2 | 3 | 4 | 5 | 6
+CLASS_NUMBER_FIELDS = {
+    1: 1, 2: 1, 3: 1, 7: 1, 11: 1, 19: 1, 43: 1,
+    5: 2, 6: 2, 10: 2, 13: 2, 15: 2, 22: 2,
+    23: 3,
+    14: 4, 17: 4, 21: 4,
+    47: 5, 79: 5,
+    26: 6,
+}
+
+
+@pytest.mark.parametrize("d", sorted(CLASS_NUMBER_FIELDS))
+def test_mobius_equals_brute_every_class_number(d):
+    f = make_field(d)
+    assert f.h == CLASS_NUMBER_FIELDS[d]
+    assert phi_profile(f, 400, method="mobius") == phi_profile(f, 400, method="brute")
 
 
 def test_phi_dispatcher(Q, K1, K5):
-    assert [resolve_method(f) for f in (Q, K1, K5)] == ["sieve", "mobius", "brute"]
+    assert [resolve_method(f) for f in (Q, K1, K5)] == ["sieve", "mobius", "mobius"]
     assert phi(Q, 300) == phi_bruteforce(Q, 300)
     assert phi(K1, 300) == phi_bruteforce(K1, 300)
-    assert phi(K5, 300) == phi_bruteforce(K5, 300)  # auto falls back to brute
+    assert phi(K5, 300) == phi_bruteforce(K5, 300)
     assert phi(K1, 300) == phi_profile(K1, 300, method="brute")[-1]
     with pytest.raises(UnsupportedFieldError):
         phi(K1, 300, method="sieve")

@@ -7,7 +7,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from horocount.arith import is_squarefree
 from horocount.field import (
     RingElement,
     make_field,
@@ -38,6 +40,7 @@ from horocount.ideals import (
     prime_ideals_above,
     principal_ideal,
     reduce_mod,
+    squarefree_ideals,
     residues_mod,
     ring_totient,
     ring_totient_product,
@@ -305,6 +308,28 @@ def test_mobius_norm_coefficients_match_objects():
         for n in range(1, 201):
             want = sum(mobius_ideal(f, ideal) for ideal in brute_ideals_of_norm(f, n))
             assert m[n] == want, (d, n)
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.integers(1, 400).filter(is_squarefree), x=st.integers(0, 300))
+def test_squarefree_ideals_enumeration(d, x):
+    f = make_field(d)
+    found = list(squarefree_ideals(f, x))
+    ideals = [ideal for _, ideal in found]
+    assert len(set(ideals)) == len(ideals)
+    want = {
+        ideal
+        for n in range(1, x + 1)
+        for ideal in brute_ideals_of_norm(f, n)
+        if mobius_ideal(f, ideal) != 0
+    }
+    assert set(ideals) == want
+    m = mobius_norm_coefficients(f, x)
+    by_norm = Counter()
+    for mu, ideal in found:
+        assert mu == mobius_ideal(f, ideal), ideal
+        by_norm[ideal.norm] += mu
+    assert all(by_norm[n] == m[n] for n in range(1, x + 1))
 
 
 def test_mobius_reciprocal_partial(zeta_fields, Q):
