@@ -1,12 +1,15 @@
 """Elementary integer arithmetic helpers shared across the package.
 
 Everything here is exact integer math: sieves, modular square roots,
-factorization of machine-sized integers.  No field-specific logic.
+factorization of machine-sized integers, and multiplicative_fill, the one
+sieve behind every multiplicative table of the package.  No field logic.
 """
 
 from __future__ import annotations
 
 from math import gcd, isqrt
+
+import numpy as np
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -39,33 +42,22 @@ def is_squarefree(n: int) -> bool:
     return True
 
 
-def smallest_prime_factors(n: int) -> list[int]:
+def smallest_prime_factors(n: int) -> np.ndarray:
     """spf[k] = smallest prime factor of k for 0 <= k <= n (spf[0]=spf[1]=0)."""
-    spf = list(range(n + 1))
-    if n >= 1:
-        spf[1] = 0
+    spf = np.zeros(n + 1, dtype=np.int64)
     for p in range(2, isqrt(n) + 1):
-        if spf[p] == p:
-            for m in range(p * p, n + 1, p):
-                if spf[m] == m:
-                    spf[m] = p
+        if spf[p] == 0:
+            multiples = spf[p * p :: p]  # a view: p marks what no smaller prime did
+            multiples[multiples == 0] = p
+    spf[2:] = np.where(spf[2:] == 0, np.arange(2, n + 1), spf[2:])  # the primes
     return spf
 
 
-def factorize(n: int, spf: list[int] | None = None) -> list[tuple[int, int]]:
-    """Prime factorization [(p, e), ...] of n >= 1 by trial division (or spf table)."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization [(p, e), ...] of n >= 1 by trial division."""
     if n < 1:
         raise ValueError(f"cannot factor {n}")
     out: list[tuple[int, int]] = []
-    if spf is not None and n < len(spf):
-        while n > 1:
-            p = spf[n]
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            out.append((p, e))
-        return out
     for p in (2, 3):
         if n % p == 0:
             e = 0
@@ -88,36 +80,47 @@ def factorize(n: int, spf: list[int] | None = None) -> list[tuple[int, int]]:
     return out
 
 
+def multiplicative_fill(n: int, prime_power) -> np.ndarray:
+    """a[0..n] (int64) of the multiplicative function with a[0] = 0, a[1] = 1
+    and a[p^e] = prime_power(p, e), called once per prime power p^e <= n.
+
+    Each k >= 2 splits as p^e * rest with p its smallest prime factor, and
+    a[k] = a[rest] * a[p^e].  rest has one distinct prime fewer than k, so
+    pass j fills every k with j distinct primes and the passes number at most
+    the largest such count below n (7 below 9 699 690).
+    """
+    a = np.zeros(max(n + 1, 0), dtype=np.int64)
+    if n < 1:
+        return a
+    a[1] = 1
+    p = smallest_prime_factors(n)[2:]  # p[i] and rest[i] belong to k = i + 2
+    rest = np.arange(2, n + 1, dtype=np.int64) // p
+    e = np.ones(n - 1, dtype=np.int8)
+    more = np.flatnonzero(rest % p == 0)
+    while more.size:
+        rest[more] //= p[more]
+        e[more] += 1
+        more = more[rest[more] % p[more] == 0]
+    powers = np.flatnonzero(rest == 1)
+    a[powers + 2] = [prime_power(int(q), int(x)) for q, x in zip(p[powers], e[powers])]
+    done = np.concatenate(([False, True], rest == 1))
+    pending = np.flatnonzero(rest > 1)
+    while pending.size:
+        ready = done[rest[pending]]
+        now, pending = pending[ready], pending[~ready]
+        a[now + 2] = a[rest[now]] * a[(now + 2) // rest[now]]
+        done[now + 2] = True
+    return a
+
+
 def totient_sieve(n: int) -> list[int]:
-    """phi[0..n] with phi[k] the Euler totient, via the standard prime sweep."""
-    phi = list(range(n + 1))
-    for p in range(2, n + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, n + 1, p):
-                phi[m] -= phi[m] // p
-    return phi
+    """phi[0..n] with phi[k] the Euler totient."""
+    return multiplicative_fill(n, lambda p, e: p ** (e - 1) * (p - 1)).tolist()
 
 
 def mobius_sieve(n: int) -> list[int]:
     """mu[0..n] for the ordinary Moebius function (mu[0] = 0)."""
-    mu = [1] * (n + 1)
-    if n >= 0:
-        mu[0] = 0
-    primes: list[int] = []
-    is_comp = bytearray(n + 1)
-    for k in range(2, n + 1):
-        if not is_comp[k]:
-            primes.append(k)
-            mu[k] = -1
-        for p in primes:
-            if k * p > n:
-                break
-            is_comp[k * p] = 1
-            if k % p == 0:
-                mu[k * p] = 0
-                break
-            mu[k * p] = -mu[k]
-    return mu
+    return multiplicative_fill(n, lambda p, e: -1 if e == 1 else 0).tolist()
 
 
 def primes_up_to(n: int) -> list[int]:
@@ -172,6 +175,7 @@ __all__ = [
     "is_squarefree",
     "smallest_prime_factors",
     "factorize",
+    "multiplicative_fill",
     "totient_sieve",
     "mobius_sieve",
     "primes_up_to",

@@ -14,16 +14,19 @@ integer-for-integer:
 * mobius -- phi(x) = sum over squarefree ideals I of mu(I) * T_I(x) / N(I),
   with T_I(x) the norm sum over principal ideals inside I; every field, Q
   included, with the squarefree ideals built as products of distinct primes;
-* sieve -- the Euler totient sieve; Q only.
+* sieve -- the multiplicative fill of n -> sum of Phi(I) over the ideals of
+  norm n; every field with h = 1 (Q included), where every ideal is principal.
 
-resolve_method maps 'auto' to the sieve over Q and to mobius for every
-imaginary quadratic field, and rejects a method the field does not support.
+resolve_method maps 'auto' to the sieve wherever h = 1 and to mobius
+elsewhere, and rejects a method the field does not support.
 
 Int64 ceilings:
 * the Moebius inc[n] sums terms mu(I) * (elements of norm n in I) / w * n / N(I),
   each below n times the lattice points of norm n, and the cumsum of any
   kernel is phi(x), about c * x^2 with c <= 3/pi^2, so both are exact for x
   below about 5 * 10^9, far past the memory the (x + 1)-cell arrays need;
+* the sieve's inc[n], which is each product its fill forms, sums Phi(I) <= n
+  over at most tau(n) ideals, so it is at most n * tau(n); its cumsum is phi(x);
 * _coprime_count_box takes the norm form on its residue box, below
   (d + 2) * N(q)^2, so it is exact for N(q) below 3 * 10^9 / sqrt(d + 2).
 """
@@ -35,11 +38,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import totient_sieve
 from .field import (
     FieldSpec,
     RingElement,
     UnsupportedFieldError,
+    _multiplicative_fill,
     make_field,
     mul,
     norm,
@@ -143,23 +146,34 @@ def _mobius_increments(f: FieldSpec, bound: int) -> np.ndarray:
     return inc
 
 
+def _totient_prime_power(split: str, p: int, e: int) -> int:
+    """Sum of Phi(I) over the ideals I of norm p^e, by how p splits."""
+    if split == "split":  # P^i * conj(P)^(e - i), with Phi(P^i) = p^(i-1) (p - 1)
+        prime = [1] + [p ** (i - 1) * (p - 1) for i in range(1, e + 1)]
+        return sum(prime[i] * prime[e - i] for i in range(e + 1))
+    if split == "ramified":
+        return p ** (e - 1) * (p - 1)
+    return p ** (e - 2) * (p * p - 1) if e % 2 == 0 else 0
+
+
 # ----------------------------------------------------------------------
 # phi: the one dispatcher
 # ----------------------------------------------------------------------
 
 def resolve_method(f: FieldSpec, method: str = "auto") -> str:
-    """The method phi_profile runs: 'auto' is the sieve over Q and the
-    Moebius route over every imaginary quadratic field.
+    """The method phi_profile runs: 'auto' is the sieve, the multiplicative
+    fill of Phi, on every field of class number 1 (Q included), and the
+    Moebius route where h > 1.
 
-    Raises UnsupportedFieldError for the sieve off Q, the one method a field
-    can lack, and ValueError for an unknown method.
+    Raises UnsupportedFieldError for the sieve where h > 1, the one method a
+    field can lack, and ValueError for an unknown method.
     """
     if method == "auto":
-        return "sieve" if f.is_rational else "mobius"
+        return "sieve" if f.h == 1 else "mobius"
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "sieve" and not f.is_rational:
-        raise UnsupportedFieldError("the totient sieve is a rational-field method")
+    if method == "sieve" and f.h != 1:
+        raise UnsupportedFieldError(f"the totient sieve needs h = 1, and {f!r} has h = {f.h}")
     return method
 
 
@@ -174,7 +188,7 @@ def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
     elif method == "mobius":
         inc = _mobius_increments(f, bound)
     else:
-        inc = totient_sieve(bound)
+        inc = _multiplicative_fill(f, bound, _totient_prime_power)
     return [int(v) for v in np.cumsum(inc)]
 
 

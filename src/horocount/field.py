@@ -18,7 +18,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import factorize, is_squarefree, smallest_prime_factors
+from .arith import is_squarefree, multiplicative_fill
 
 RATIONAL = "rational"
 IMAGINARY_QUADRATIC = "imaginary_quadratic"
@@ -333,7 +333,7 @@ def splitting_type(f: FieldSpec, p: int) -> str:
     return "split" if euler == 1 else "inert"
 
 
-def _prime_power_ideal_count(split: str, e: int) -> int:
+def _prime_power_ideal_count(split: str, p: int, e: int) -> int:
     if split == "split":
         return e + 1
     if split == "ramified":
@@ -341,26 +341,15 @@ def _prime_power_ideal_count(split: str, e: int) -> int:
     return 1 if e % 2 == 0 else 0
 
 
-def _multiplicative_fill(f: FieldSpec, n_max: int, prime_power) -> list[int]:
+def _multiplicative_fill(f: FieldSpec, n_max: int, table) -> np.ndarray:
     """a[0..n_max] of the multiplicative function with a[0] = 0, a[1] = 1 and
-    a[p^e] = prime_power(splitting_type(f, p), e); imaginary quadratic f only.
+    a[p^e] = table(splitting_type(f, p), p, e), for every field.
+
+    Q is the degenerate field: each p has exactly one prime of norm p, so it
+    takes the 'ramified' row of every table.
     """
-    spf = smallest_prime_factors(n_max)
-    split_of: dict[int, str] = {}
-    a = [0] * (n_max + 1)
-    if n_max >= 1:
-        a[1] = 1
-    for n in range(2, n_max + 1):
-        p = spf[n]
-        m, e = n, 0
-        while m % p == 0:
-            m //= p
-            e += 1
-        s = split_of.get(p)
-        if s is None:
-            s = split_of[p] = splitting_type(f, p)
-        a[n] = a[m] * prime_power(s, e)
-    return a
+    kind = (lambda p: "ramified") if f.is_rational else (lambda p: splitting_type(f, p))
+    return multiplicative_fill(n_max, lambda p, e: table(kind(p), p, e))
 
 
 def ideal_count_coefficients(f: FieldSpec, n_max: int) -> list[int]:
@@ -372,9 +361,7 @@ def ideal_count_coefficients(f: FieldSpec, n_max: int) -> list[int]:
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    if f.is_rational:
-        return [0] + [1] * n_max
-    return _multiplicative_fill(f, n_max, _prime_power_ideal_count)
+    return _multiplicative_fill(f, n_max, _prime_power_ideal_count).tolist()
 
 
 def zeta_K_2_via_ideal_counts(f: FieldSpec, n_max: int = 200_000) -> float:

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import factorize, mobius_sieve, primes_up_to, sqrt_mod_prime, xgcd
+from .arith import factorize, primes_up_to, sqrt_mod_prime, xgcd
 from .field import (
     FieldSpec,
     RingElement,
@@ -520,7 +520,7 @@ def norm_histogram(
 # Moebius sums over ideals
 # ----------------------------------------------------------------------
 
-def _mobius_prime_power(split: str, e: int) -> int:
+def _mobius_prime_power(split: str, p: int, e: int) -> int:
     if split == "split":
         return -2 if e == 1 else 1 if e == 2 else 0
     if split == "ramified":
@@ -535,9 +535,7 @@ def mobius_norm_coefficients(f: FieldSpec, bound: int) -> list[int]:
     m_{p^2} = -1; all other prime powers contribute 0.  Over Q this is the
     ordinary Moebius function.
     """
-    if f.is_rational:
-        return mobius_sieve(bound)
-    return _multiplicative_fill(f, bound, _mobius_prime_power)
+    return _multiplicative_fill(f, bound, _mobius_prime_power).tolist()
 
 
 def mobius_reciprocal_partial(f: FieldSpec, bound: int) -> float:

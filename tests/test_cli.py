@@ -80,7 +80,7 @@ def test_count_both_methods_class_number_2(tmp_path, schema):
 
 
 @pytest.mark.parametrize(
-    "field, method", [("rational", "sieve"), ("d=1", "mobius"), ("d=5", "mobius")]
+    "field, method", [("rational", "sieve"), ("d=1", "sieve"), ("d=5", "mobius")]
 )
 def test_depths_rows_name_the_resolved_method(tmp_path, schema, field, method):
     cutoffs = [-1.0, 2.0, 4.0, 6.0]
@@ -312,6 +312,8 @@ def test_verify_passes_on_good_field(capsys):
     doc = json.loads(captured.out)  # stdout holds exactly one JSON document
     assert doc["failures"] == 0
     assert all(row["passed"] for row in doc["rows"])
+    details = {row["check"]: row["detail"] for row in doc["rows"]}
+    assert details["phi-cross-method"] == "brute == mobius == sieve on every integer x <= 150"
 
 
 def test_big_integers_emitted_as_strings(tmp_path):

@@ -160,24 +160,30 @@ CLASS_NUMBER_FIELDS = {
 def test_mobius_equals_brute_every_class_number(d):
     f = make_field(d)
     assert f.h == CLASS_NUMBER_FIELDS[d]
-    assert phi_profile(f, 400, method="mobius") == phi_profile(f, 400, method="brute")
+    brute = phi_profile(f, 400, method="brute")
+    assert phi_profile(f, 400, method="mobius") == brute
+    if f.h == 1:
+        assert phi_profile(f, 400, method="sieve") == brute
+    else:
+        with pytest.raises(UnsupportedFieldError):
+            phi_profile(f, 400, method="sieve")
 
 
 def test_phi_dispatcher(Q, K1, K5):
-    assert [resolve_method(f) for f in (Q, K1, K5)] == ["sieve", "mobius", "mobius"]
+    assert [resolve_method(f) for f in (Q, K1, K5)] == ["sieve", "sieve", "mobius"]
     assert phi(Q, 300) == phi_bruteforce(Q, 300)
     assert phi(K1, 300) == phi_bruteforce(K1, 300)
     assert phi(K5, 300) == phi_bruteforce(K5, 300)
     assert phi(K1, 300) == phi_profile(K1, 300, method="brute")[-1]
     with pytest.raises(UnsupportedFieldError):
-        phi(K1, 300, method="sieve")
+        phi(K5, 300, method="sieve")
     with pytest.raises(ValueError):
         phi_profile(Q, 300, method="bogus")
 
 
 def test_phi_profile_entries_are_python_ints(Q, K1):
     # numpy integers leak into json.dumps as a TypeError
-    cases = [(Q, m) for m in METHODS] + [(K1, "brute"), (K1, "mobius")]
+    cases = [(f, m) for f in (Q, K1) for m in METHODS]
     for f, method in cases:
         prof = phi_profile(f, 30, method=method)
         assert len(prof) == 31 and all(type(v) is int for v in prof), (f, method)
