@@ -124,15 +124,11 @@ def mobius_sieve(n: int) -> list[int]:
 
 
 def primes_up_to(n: int) -> list[int]:
+    """The primes p <= n, ascending: the k >= 2 with smallest_prime_factors k."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start : n + 1 : p] = bytearray(len(range(start, n + 1, p)))
-    return [i for i in range(2, n + 1) if sieve[i]]
+    ks = np.arange(2, n + 1)
+    return ks[smallest_prime_factors(n)[2:] == ks].tolist()
 
 
 def sqrt_mod_prime(a: int, p: int) -> int | None:

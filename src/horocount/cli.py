@@ -295,14 +295,10 @@ def _verify_checks(f: FieldSpec, bound: int):
         )
 
     tot_bound = min(bound, 200)
-    tot_ok = True
-    for q in counting.unit_orbit_reps(f, tot_bound):
-        if ring_totient(f, q) != ring_totient_product(f, q):
-            tot_ok = False
-            break
     yield (
         "totient-product",
-        tot_ok,
+        all(ring_totient(f, q) == ring_totient_product(f, q)
+            for q in counting.unit_orbit_reps(f, tot_bound)),
         f"residue count equals the Euler product for N(q) <= {tot_bound}",
     )
 
@@ -490,8 +486,15 @@ def _parse_cutoffs(text: str | None) -> list[float]:
         raise CliError("bad-cutoffs", f"cannot parse cutoffs {text!r}")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise CliError, not SystemExit."""
+
+    def error(self, message: str):
+        raise CliError("bad-arguments", message)
+
+
 def build_config(argv: list[str]) -> RunConfig:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="horocount",
         description="Count rational geodesics and horoballs for the modular "
         "and Bianchi orbifolds.",

@@ -8,9 +8,9 @@ kernel and sums the increments into [phi(0), ..., phi(floor(x))], and phi(x)
 is the last entry.  Where two methods apply they must agree
 integer-for-integer:
 
-* brute -- enumerate denominators (one representative per unit orbit) and
-  count coprime residues directly; every field.  It is the oracle, so it
-  shares no logic with the other two;
+* brute -- for one denominator q per unit orbit, Q included, count the
+  coprime residues of ideals.coprime_box(f, q); every field.  It is the
+  oracle, so it shares no logic with the other two;
 * mobius -- phi(x) = sum over squarefree ideals I of mu(I) * T_I(x) / N(I),
   with T_I(x) the norm sum over principal ideals inside I; every field, Q
   included, with the squarefree ideals built as products of distinct primes;
@@ -26,9 +26,7 @@ Int64 ceilings:
   kernel is phi(x), about c * x^2 with c <= 3/pi^2, so both are exact for x
   below about 5 * 10^9, far past the memory the (x + 1)-cell arrays need;
 * the sieve's inc[n], which is each product its fill forms, sums Phi(I) <= n
-  over at most tau(n) ideals, so it is at most n * tau(n); its cumsum is phi(x);
-* _coprime_count_box takes the norm form on its residue box, below
-  (d + 2) * N(q)^2, so it is exact for N(q) below 3 * 10^9 / sqrt(d + 2).
+  over at most tau(n) ideals, so it is at most n * tau(n); its cumsum is phi(x).
 """
 
 from __future__ import annotations
@@ -46,18 +44,16 @@ from .field import (
     make_field,
     mul,
     norm,
-    omega_times,
     residue_K,
     units,
     zeta_K_2,
 )
 from .ideals import (
     LatticeIdeal,
-    _norm_form,
+    coprime_box,
     count_and_sum_norms,
     enumerate_norm_le,
-    norm_histogram,
-    principal_ideal,
+    relative_norm_histogram,
     squarefree_ideals,
     unit_ideal,
 )
@@ -95,39 +91,11 @@ def unit_orbit_reps(f: FieldSpec, x: float) -> list[RingElement]:
     return reps
 
 
-def _coprime_count_box(f: FieldSpec, q: RingElement) -> int:
-    """Phi(q): residues in the HNF box of (q) coprime to q, vectorized.
-
-    Coprimality of p and q is norm((p,q)) == 1 with the pair-ideal norm
-    expressed as a gcd of 2x2 minors of {p, p*omega, q, q*omega}; all five
-    relevant minors are (at most quadratic) integer forms in the residue
-    coordinates, so the whole box is tested with numpy integer ops.
-    """
-    ideal = principal_ideal(f, q)
-    xs = np.arange(ideal.alpha, dtype=np.int64)[None, :]
-    ys = np.arange(ideal.gamma, dtype=np.int64)[:, None]
-    if f.half_basis:
-        pw_a, pw_b = -f.half_m * ys, xs + ys
-    else:
-        pw_a, pw_b = -f.d * ys, xs
-    qw = omega_times(f, q)
-    g = np.gcd(_norm_form(f, xs, ys), norm(f, q))
-    g = np.gcd(g, xs * q.b - q.a * ys)
-    g = np.gcd(g, xs * qw.b - qw.a * ys)
-    g = np.gcd(g, pw_a * q.b - q.a * pw_b)
-    return int(np.count_nonzero(g == 1))
-
-
 def _brute_increments(f: FieldSpec, bound: int) -> np.ndarray:
     """inc[n] = sum of Phi(q) over orbit representatives with N(q) = n."""
     inc = np.zeros(bound + 1, dtype=np.int64)
-    if f.is_rational:
-        base = np.arange(bound + 1, dtype=np.int64)
-        for q in range(1, bound + 1):
-            inc[q] = 1 if q == 1 else np.count_nonzero(np.gcd(base[1:q], q) == 1)
-        return inc
     for q in unit_orbit_reps(f, bound):
-        inc[norm(f, q)] += _coprime_count_box(f, q)
+        inc[norm(f, q)] += np.count_nonzero(coprime_box(f, q))
     return inc
 
 
@@ -138,10 +106,8 @@ def _mobius_increments(f: FieldSpec, bound: int) -> np.ndarray:
     """
     inc = np.zeros(bound + 1, dtype=np.int64)
     for m, ideal in squarefree_ideals(f, bound):
-        hist = norm_histogram(f, ideal, bound)
-        hits = hist[:: ideal.norm]  # hits[k]: elements of norm k * N(I)
-        # N(I) divides every norm in I, and the w units act freely
-        assert hits.sum() == hist.sum() and not (hits % f.w).any()
+        hits = relative_norm_histogram(f, ideal, bound)  # hits[k]: elements of norm k * N(I)
+        assert not (hits % f.w).any()  # the w units act freely
         inc[:: ideal.norm] += m * (hits // f.w) * np.arange(len(hits), dtype=np.int64)
     return inc
 
@@ -189,7 +155,7 @@ def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
         inc = _mobius_increments(f, bound)
     else:
         inc = _multiplicative_fill(f, bound, _totient_prime_power)
-    return [int(v) for v in np.cumsum(inc)]
+    return np.cumsum(inc).tolist()
 
 
 def phi(f: FieldSpec, x: float, method: str = "auto") -> int:

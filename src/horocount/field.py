@@ -57,9 +57,7 @@ class FieldSpec:
 
     Derived constants: D (the positive discriminant magnitude, d or 4d),
     w (number of roots of unity), half_basis (omega = (1+sqrt(-d))/2 iff
-    d = 3 mod 4).  The class number h is computed lazily, on first use; the
-    computation is pure, so threads sharing a FieldSpec that race on the
-    first use can only repeat it, never disagree.
+    d = 3 mod 4).  The class number h is computed lazily, on first use.
     """
 
     __slots__ = ("kind", "d", "D", "w", "half_basis", "_h")

@@ -32,6 +32,7 @@ from .field import (
 )
 from .ideals import (
     InvalidDenominatorError,
+    coprime_box,
     is_coprime,
     norm_histogram,
     principal_ideal,
@@ -208,12 +209,9 @@ def canonical_balls(f: FieldSpec, bound: int) -> list[Horoball]:
     (q), for one denominator q per unit orbit."""
     balls = []
     for q in unit_orbit_reps(f, bound):
-        ideal = principal_ideal(f, q)
-        for y in range(ideal.gamma):
-            for x in range(ideal.alpha):
-                p = RingElement(x, y)
-                if is_coprime(f, p, q):
-                    balls.append(horoball_of(make_geodesic(f, p, q)))
+        ys, xs = np.nonzero(coprime_box(f, q))  # row-major: y, then x
+        for y, x in zip(ys.tolist(), xs.tolist()):
+            balls.append(horoball_of(make_geodesic(f, RingElement(x, y), q)))
     return balls
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -199,11 +199,31 @@ def reduce_mod(f: FieldSpec, x: RingElement, ideal: LatticeIdeal) -> RingElement
     return RingElement((x.a - k * ideal.beta) % ideal.alpha, y)
 
 
+def coprime_box(f: FieldSpec, q: RingElement) -> np.ndarray:
+    """mask[y, x]: whether x + y*omega is coprime to q, over the residue box
+    0 <= x < alpha, 0 <= y < gamma of (q); shape (1, |q|) over Q.  principal_ideal
+    raises InvalidDenominatorError for q = 0.
+
+    pair_ideal_norm on the whole box at once, with int64 arrays for the
+    coordinates of p.  The largest minor, N(p), is below (d + 2) * N(q)^2 on
+    the box, so int64 is exact for N(q) below 3 * 10^9 / sqrt(d + 2).
+    """
+    ideal = principal_ideal(f, q)
+    xs = np.arange(ideal.alpha, dtype=np.int64)[None, :]
+    if f.is_rational:
+        return np.gcd(xs, q.a) == 1
+    p = RingElement(xs, np.arange(ideal.gamma, dtype=np.int64)[:, None])
+    pw = omega_times(f, p)
+    qw = omega_times(f, q)
+    g = np.gcd(norm(f, p), norm(f, q))
+    g = np.gcd(g, p.a * q.b - q.a * p.b)
+    g = np.gcd(g, p.a * qw.b - qw.a * p.b)
+    return np.gcd(g, pw.a * q.b - q.a * pw.b) == 1
+
+
 def ring_totient(f: FieldSpec, q: RingElement) -> int:
-    """Number of residues mod (q) coprime to q, by direct coprimality counting."""
-    if q.is_zero():
-        raise InvalidDenominatorError("denominator must be nonzero")
-    return sum(1 for r in residues_mod(f, q) if is_coprime(f, r, q))
+    """Number of residues mod (q) coprime to q: the true cells of coprime_box."""
+    return int(np.count_nonzero(coprime_box(f, q)))
 
 
 def ring_totient_product(f: FieldSpec, q: RingElement) -> int:
@@ -469,7 +489,7 @@ def _norm_form(f: FieldSpec, u, v):
     return u * u + f.d * v * v
 
 
-_HISTOGRAM_BLOCK = 1 << 18  # lattice points (2 MB of int64 norms) per bincount in norm_histogram
+_HISTOGRAM_BLOCK = 1 << 18  # values (2 MB of int64) per block of _blocks
 
 
 def _row_norms(f: FieldSpec, lattice: LatticeIdeal, bound: int) -> Iterator[np.ndarray]:
@@ -491,26 +511,40 @@ def count_and_sum_norms(
     return count, total
 
 
-def norm_histogram(
-    f: FieldSpec, lattice: LatticeIdeal, bound: int
-) -> np.ndarray:
-    """counts[n] = number of nonzero lattice elements of norm exactly n <= bound.
-
-    One bincount per block of about _HISTOGRAM_BLOCK lattice points, summed:
-    the cost is the lattice points plus one pass over bound + 1 cells per
-    block, and the transient beside the result is one block and one bincount.
-    """
-    counts = np.zeros(bound + 1, dtype=np.int64)
+def _blocks(rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The rows concatenated into blocks of about _HISTOGRAM_BLOCK values: a
+    histogram that adds one bincount per block holds one block at a time."""
     block: list[np.ndarray] = []
     filled = 0
-    for norms in _row_norms(f, lattice, bound):
-        block.append(norms)
-        filled += len(norms)
+    for row in rows:
+        block.append(row)
+        filled += len(row)
         if filled >= _HISTOGRAM_BLOCK:
-            counts += np.bincount(np.concatenate(block), minlength=bound + 1)
+            yield np.concatenate(block)
             block, filled = [], 0
     if block:
-        counts += np.bincount(np.concatenate(block), minlength=bound + 1)
+        yield np.concatenate(block)
+
+
+def norm_histogram(f: FieldSpec, lattice: LatticeIdeal, bound: int) -> np.ndarray:
+    """counts[n] = number of nonzero lattice elements of norm exactly n <= bound."""
+    counts = np.zeros(bound + 1, dtype=np.int64)
+    for norms in _blocks(_row_norms(f, lattice, bound)):
+        counts += np.bincount(norms, minlength=bound + 1)
+    if bound >= 0:
+        counts[0] = 0
+    return counts
+
+
+def relative_norm_histogram(f: FieldSpec, ideal: LatticeIdeal, bound: int) -> np.ndarray:
+    """counts[k] = number of nonzero elements of the ideal of norm k * N(I) <= bound,
+    in bound // N(I) + 1 cells: N(I) divides the norm of every element of I."""
+    size = bound // ideal.norm + 1
+    counts = np.zeros(size, dtype=np.int64)
+    for norms in _blocks(_row_norms(f, ideal, bound)):
+        quot, rem = np.divmod(norms, ideal.norm)
+        assert not rem.any(), f"a norm in {ideal} is not a multiple of N(I)"
+        counts += np.bincount(quot, minlength=size)
     if bound >= 0:
         counts[0] = 0
     return counts
@@ -558,6 +592,7 @@ __all__ = [
     "ideal_contains_ideal",
     "pair_ideal_norm",
     "is_coprime",
+    "coprime_box",
     "residues_mod",
     "reduce_mod",
     "ring_totient",
@@ -573,6 +608,7 @@ __all__ = [
     "enumerate_norm_le",
     "count_and_sum_norms",
     "norm_histogram",
+    "relative_norm_histogram",
     "mobius_norm_coefficients",
     "mobius_reciprocal_partial",
 ]

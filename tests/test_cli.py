@@ -243,6 +243,9 @@ def test_csv_rerun_identical_bytes(tmp_path):
         ["count", "--field", "d=1"],  # missing --cutoffs
         ["count", "--field", "d=1", "--cutoffs", "10", "--s", "2.0"],  # stray s
         ["zeta", "--field", "d=1", "--tolerance", "-1"],
+        ["count", "--field", "d=1", "--cutoffs", "10", "--method", "sieve"],
+        ["poincare", "--field", "d=1", "--cutoffs", "10,20,40", "--s", "abc"],
+        ["count", "--cutoffs", "10"],  # missing --field
     ],
 )
 def test_error_paths_exit_nonzero(tmp_path, capsys, argv):

@@ -204,6 +204,9 @@ def test_canonical_balls_one_per_class(Q, K1, K5):
         assert len(balls) == phi(f, bound)
         assert len({(b.source.p, b.source.q) for b in balls}) == len(balls)
         assert all(b == horoball_of(make_geodesic(f, b.source.p, b.source.q)) for b in balls)
+        # RingElement equality would hide numpy integers, which json.dumps rejects
+        coords = [c for b in balls for e in (b.source.p, b.source.q) for c in (e.a, e.b)]
+        assert all(type(c) is int for c in coords)
 
 
 def _pairwise_report(balls):

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -23,6 +24,7 @@ from horocount.ideals import (
     InvalidDenominatorError,
     LatticeIdeal,
     ZeroIdealError,
+    coprime_box,
     count_and_sum_norms,
     enumerate_norm_le,
     factor_ideal,
@@ -40,6 +42,7 @@ from horocount.ideals import (
     prime_ideals_above,
     principal_ideal,
     reduce_mod,
+    relative_norm_histogram,
     squarefree_ideals,
     residues_mod,
     ring_totient,
@@ -217,6 +220,19 @@ def test_ring_totient_matches_euler_product(small_fields):
     for f in small_fields:
         for q in unit_orbit_reps(f, 500):
             assert ring_totient(f, q) == ring_totient_product(f, q), (f, q)
+
+
+@pytest.mark.parametrize("d", ["rational", 1, 2, 3, 5, 7, 15, 23])
+def test_coprime_box_matches_scalar_coprimality(d):
+    from horocount.counting import unit_orbit_reps
+
+    f = make_field(d)
+    for q in unit_orbit_reps(f, 60):
+        mask = coprime_box(f, q)
+        lattice = principal_ideal(f, q)
+        assert mask.shape == (lattice.gamma, lattice.alpha)
+        for (y, x), cell in np.ndenumerate(mask):
+            assert cell == is_coprime(f, RingElement(x, y), q), (f, q, x, y)
 
 
 def test_ring_totient_zero_denominator(Q):
@@ -402,6 +418,7 @@ def test_norm_histogram_matches_enumeration(d):
             want = Counter(norm(f, x) for x in enumerate_norm_le(f, lattice, bound))
             assert len(hist) == bound + 1
             assert {n: int(c) for n, c in enumerate(hist) if c} == want
+            assert (relative_norm_histogram(f, lattice, bound) == hist[:: lattice.norm]).all()
 
 
 def test_row_partition_independence(K1):
