@@ -72,11 +72,11 @@ class RunConfig:
             raise CliError("unknown-command", f"unknown command {self.command!r}")
         if not all(math.isfinite(c) for c in self.cutoffs):
             raise CliError("bad-cutoffs", "cutoffs must be finite")
-        # depths takes t < 0 (no class has negative depth); zeta and classnum ignore cutoffs
-        if self.command in ("count", "horoballs", "poincare", "verify") and any(
-            c < 0 for c in self.cutoffs
-        ):
-            raise CliError("bad-cutoffs", f"{self.command} cutoffs must be non-negative")
+        # depths takes t < 0 (no class has negative depth); zeta and classnum ignore
+        # cutoffs; a series starts at |c| = 1, the smallest nonzero element
+        low = {"count": 0, "horoballs": 0, "verify": 0, "poincare": 1}.get(self.command)
+        if low is not None and any(c < low for c in self.cutoffs):
+            raise CliError("bad-cutoffs", f"{self.command} cutoffs must be >= {low}")
         if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
             raise CliError("bad-cutoffs", "cutoffs must be strictly increasing")
         if self.command == "poincare" and self.s is None:
@@ -91,8 +91,10 @@ class RunConfig:
             raise CliError("bad-method", f"unknown method {self.method!r}")
         if self.format not in ("json", "csv"):
             raise CliError("bad-format", f"unknown format {self.format!r}")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise CliError("bad-tolerance", "--tolerance must be positive")
+        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
+            raise CliError(
+                "bad-tolerance", f"--tolerance tol={self.tolerance:g} is not a positive finite number"
+            )
 
 
 def _field_record(f: FieldSpec) -> dict:
@@ -168,8 +170,7 @@ def _cmd_depths(config: RunConfig) -> tuple[list[dict], dict]:
     rows = []
     for t, cutoff in zip(config.cutoffs, cutoffs):
         value = profile[cutoff]
-        x_equiv = math.exp(t / 2 if f.is_rational else t)
-        predicted = counting.phi_asymptotic(f, x_equiv)
+        predicted = counting.phi_asymptotic(f, geodesics._depth_norm(f, t))
         row = _provenance(f, value, method)
         row["x_or_t"] = t
         row["predicted"] = predicted
@@ -262,7 +263,7 @@ def _cmd_poincare(config: RunConfig) -> tuple[list[dict], dict]:
 def _verify_checks(f: FieldSpec, bound: int):
     """Yield (name, passed, detail) for each property check."""
     x_small = min(bound, 300)
-    methods = [m for m in counting.METHODS if m != "sieve" or f.h == 1]
+    methods = list(counting._field_methods(f))
     profiles = [counting.phi_profile(f, x_small, method=m) for m in methods]
     yield (
         "phi-cross-method",

@@ -40,12 +40,11 @@ from .field import (
     FieldSpec,
     RingElement,
     UnsupportedFieldError,
+    _canonical_associate,
     _multiplicative_fill,
     make_field,
-    mul,
     norm,
     residue_K,
-    units,
     zeta_K_2,
 )
 from .ideals import (
@@ -76,19 +75,16 @@ class CountSample:
 # ----------------------------------------------------------------------
 
 def unit_orbit_reps(f: FieldSpec, x: float) -> list[RingElement]:
-    """One denominator per unit orbit with 1 <= N(q) <= floor(x).
+    """One denominator per unit orbit with 1 <= N(q) <= floor(x), in (y, x)-lex
+    order.
 
-    The representative kept is the (y, x)-lexicographic minimum of its w
-    associates, so the enumeration is deterministic.
+    The representative kept is the (y, x)-lexicographic maximum of its w
+    associates, the canonical denominator of make_geodesic.
     """
-    bound = int(x)
-    us = units(f)
-    reps: list[RingElement] = []
-    for e in enumerate_norm_le(f, unit_ideal(f), bound):
-        lo = min(((u.b, u.a) for u in (mul(f, v, e) for v in us)))
-        if (e.b, e.a) == lo:
-            reps.append(e)
-    return reps
+    return [
+        e for e in enumerate_norm_le(f, unit_ideal(f), int(x))
+        if _canonical_associate(f, e)[0] == e
+    ]
 
 
 def _brute_increments(f: FieldSpec, bound: int) -> np.ndarray:
@@ -126,19 +122,25 @@ def _totient_prime_power(split: str, p: int, e: int) -> int:
 # phi: the one dispatcher
 # ----------------------------------------------------------------------
 
-def resolve_method(f: FieldSpec, method: str = "auto") -> str:
-    """The method phi_profile runs: 'auto' is the sieve, the multiplicative
-    fill of Phi, on every field of class number 1 (Q included), and the
-    Moebius route where h > 1.
+def _field_methods(f: FieldSpec) -> tuple[str, ...]:
+    """The methods the field supports, fastest last: the sieve, the one method
+    a field can lack, needs h = 1 (Q included), where every ideal is principal."""
+    return METHODS if f.h == 1 else ("brute", "mobius")
 
-    Raises UnsupportedFieldError for the sieve where h > 1, the one method a
-    field can lack, and ValueError for an unknown method.
+
+def resolve_method(f: FieldSpec, method: str = "auto") -> str:
+    """The method phi_profile runs: 'auto' is the fastest the field supports,
+    the sieve (the multiplicative fill of Phi) where h = 1 and the Moebius
+    route where h > 1.
+
+    Raises UnsupportedFieldError for a method the field lacks and ValueError
+    for an unknown method.
     """
     if method == "auto":
-        return "sieve" if f.h == 1 else "mobius"
+        return _field_methods(f)[-1]
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "sieve" and f.h != 1:
+    if method not in _field_methods(f):
         raise UnsupportedFieldError(f"the totient sieve needs h = 1, and {f!r} has h = {f.h}")
     return method
 

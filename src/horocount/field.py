@@ -211,6 +211,12 @@ def units(f: FieldSpec) -> tuple[RingElement, ...]:
     return tuple(sorted(out, key=lambda u: (u.b, u.a)))
 
 
+def _canonical_associate(f: FieldSpec, q: RingElement) -> tuple[RingElement, RingElement]:
+    """(u*q, u) for the unit u that makes u*q the (y, x)-lexicographic maximum
+    of the w associates of q: the one denominator kept per unit orbit."""
+    return max(((mul(f, u, q), u) for u in units(f)), key=lambda c: (c[0].b, c[0].a))
+
+
 # ----------------------------------------------------------------------
 # The quadratic character chi_{-D}
 # ----------------------------------------------------------------------
@@ -288,8 +294,8 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
     that the N-term array could not be indexed raises OverflowError before
     anything is allocated.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
     if f.is_rational:
         return _ZETA2
     tab, m = _character_table(f)

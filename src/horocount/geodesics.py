@@ -23,12 +23,12 @@ from .counting import phi, phi_profile, resolve_method, unit_orbit_reps
 from .field import (
     FieldSpec,
     RingElement,
+    _canonical_associate,
     arch_norm_sq,
     conj,
     mul,
     norm,
     sub,
-    units,
 )
 from .ideals import (
     InvalidDenominatorError,
@@ -96,30 +96,18 @@ class DisjointnessReport:
 # Geodesics
 # ----------------------------------------------------------------------
 
-def _orbit_max(f: FieldSpec, q: RingElement) -> tuple[RingElement, RingElement]:
-    """(canonical associate, the unit u with u*q canonical); (y, x)-lex maximum."""
-    best: RingElement | None = None
-    best_u: RingElement | None = None
-    for u in units(f):
-        cand = mul(f, u, q)
-        if best is None or (cand.b, cand.a) > (best.b, best.a):
-            best, best_u = cand, u
-    assert best is not None and best_u is not None
-    return best, best_u
-
-
 def make_geodesic(f: FieldSpec, p: RingElement, q: RingElement) -> RationalGeodesic:
     """Canonical geodesic for the fraction class p/q mod O.
 
-    q is replaced by the lexicographically largest associate and p reduced
-    into the residue box of (q), so associates and O-translates of the same
-    class all map to the identical object.
+    q is replaced by its (y, x)-lexicographically largest associate and p
+    reduced into the residue box of (q), so associates and O-translates of the
+    same class all map to the identical object.
     """
     if q.is_zero():
         raise InvalidDenominatorError("q = 0 is the cusp itself, not a rational line")
     if not is_coprime(f, p, q):
         raise NonCoprimeError(f"({p!r}, {q!r}) is not a coprime pair")
-    q_canon, u = _orbit_max(f, q)
+    q_canon, u = _canonical_associate(f, q)
     p_canon = reduce_mod(f, mul(f, u, p), principal_ideal(f, q_canon))
     return RationalGeodesic(f, p_canon, q_canon, math.log(arch_norm_sq(f, q_canon)))
 
@@ -133,10 +121,15 @@ def _snap_to_int(x: float) -> int:
     return int(math.floor(x))
 
 
+def _depth_norm(f: FieldSpec, t: float) -> float:
+    """The norm of depth t: depth log|q|^2 <= t means N(q) <= e^(t/2) over Q
+    and N(q) <= e^t over an imaginary quadratic field."""
+    return math.exp(t / 2 if f.is_rational else t)
+
+
 def depth_cutoff(f: FieldSpec, t: float) -> int:
-    """The norm cutoff of depth t: depth log|q|^2 <= t means N(q) <= e^(t/2)
-    over Q and N(q) <= e^t over an imaginary quadratic field."""
-    return _snap_to_int(math.exp(t / 2 if f.is_rational else t))
+    """The integer norm cutoff of depth t: _depth_norm snapped to an integer."""
+    return _snap_to_int(_depth_norm(f, t))
 
 
 def depth_counting(f: FieldSpec, t: float, method: str = "auto") -> int:
@@ -204,14 +197,17 @@ def ford_ball(f: FieldSpec, p: RingElement, q: RingElement) -> Horoball:
 
 
 def canonical_balls(f: FieldSpec, bound: int) -> list[Horoball]:
-    """One Ford ball per fraction class with 1 <= N(q) <= bound: the ball of
-    the canonical representative of each coprime residue p in the HNF box of
-    (q), for one denominator q per unit orbit."""
+    """One Ford ball per fraction class with 1 <= N(q) <= bound, in order of
+    q, then row-major over the box: for each denominator q of unit_orbit_reps,
+    the (y, x)-lex maximum of its associates, the ball of each coprime residue
+    p in the HNF box of (q).  Each (p, q) is already the canonical
+    representative make_geodesic would give."""
     balls = []
     for q in unit_orbit_reps(f, bound):
+        depth = math.log(arch_norm_sq(f, q))
         ys, xs = np.nonzero(coprime_box(f, q))  # row-major: y, then x
         for y, x in zip(ys.tolist(), xs.tolist()):
-            balls.append(horoball_of(make_geodesic(f, RingElement(x, y), q)))
+            balls.append(horoball_of(RationalGeodesic(f, RingElement(x, y), q, depth)))
     return balls
 
 

@@ -13,7 +13,7 @@ with the omega row unused, which keeps every formula below valid.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
@@ -132,16 +132,12 @@ def principal_ideal(f: FieldSpec, q: RingElement) -> LatticeIdeal:
 
 def ideal_mul(f: FieldSpec, lhs: LatticeIdeal, rhs: LatticeIdeal) -> LatticeIdeal:
     """Product ideal, generated by the pairwise products of the HNF columns."""
-    if f.is_rational:
-        return LatticeIdeal(f, lhs.alpha * rhs.alpha, 0, 1)
     cols_l = (RingElement(lhs.alpha, 0), RingElement(lhs.beta, lhs.gamma))
     cols_r = (RingElement(rhs.alpha, 0), RingElement(rhs.beta, rhs.gamma))
     return hnf_from_generators(f, [mul(f, u, v) for u in cols_l for v in cols_r])
 
 
 def ideal_conj(f: FieldSpec, ideal: LatticeIdeal) -> LatticeIdeal:
-    if f.is_rational:
-        return ideal
     cols = (RingElement(ideal.alpha, 0), RingElement(ideal.beta, ideal.gamma))
     return hnf_from_generators(f, [conj(f, c) for c in cols])
 
@@ -157,23 +153,33 @@ def ideal_contains_ideal(outer: LatticeIdeal, inner: LatticeIdeal) -> bool:
 # Coprimality and residues
 # ----------------------------------------------------------------------
 
-def pair_ideal_norm(f: FieldSpec, p: RingElement, q: RingElement) -> int:
-    """Norm of the ideal (p, q) as the gcd of the 2x2 minors of its generators.
+def _pair_minors(f: FieldSpec, p: RingElement, q: RingElement) -> tuple:
+    """Values whose gcd is the norm of the ideal (p, q); ints, or int64 arrays
+    elementwise when p holds arrays.
 
     The generators of (p, q) as a Z-lattice are p, p*omega, q, q*omega, and the
     index of a full-rank sublattice of Z^2 equals the gcd of all 2x2 minors;
-    det(p*omega, q*omega) = N(omega)*det(p, q) is redundant and skipped.
+    det(p*omega, q*omega) = N(omega)*det(p, q) is redundant and skipped.  Over
+    Q the lattice has rank 1 and the generators p, q are their own minors.
     """
-    if q.is_zero() and p.is_zero():
-        raise ZeroIdealError("(0, 0) is the zero ideal")
     if f.is_rational:
-        return gcd(p.a, q.a)
+        return p.a, q.a
     pw = omega_times(f, p)
     qw = omega_times(f, q)
-    g = gcd(norm(f, p), norm(f, q))
-    g = gcd(g, p.a * q.b - q.a * p.b)
-    g = gcd(g, p.a * qw.b - qw.a * p.b)
-    return gcd(g, pw.a * q.b - q.a * pw.b)
+    return (
+        norm(f, p),
+        norm(f, q),
+        p.a * q.b - q.a * p.b,
+        p.a * qw.b - qw.a * p.b,
+        pw.a * q.b - q.a * pw.b,
+    )
+
+
+def pair_ideal_norm(f: FieldSpec, p: RingElement, q: RingElement) -> int:
+    """Norm of the ideal (p, q), the gcd of the minors of its generators."""
+    if q.is_zero() and p.is_zero():
+        raise ZeroIdealError("(0, 0) is the zero ideal")
+    return gcd(*_pair_minors(f, p, q))
 
 
 def is_coprime(f: FieldSpec, p: RingElement, q: RingElement) -> bool:
@@ -209,16 +215,9 @@ def coprime_box(f: FieldSpec, q: RingElement) -> np.ndarray:
     the box, so int64 is exact for N(q) below 3 * 10^9 / sqrt(d + 2).
     """
     ideal = principal_ideal(f, q)
-    xs = np.arange(ideal.alpha, dtype=np.int64)[None, :]
-    if f.is_rational:
-        return np.gcd(xs, q.a) == 1
-    p = RingElement(xs, np.arange(ideal.gamma, dtype=np.int64)[:, None])
-    pw = omega_times(f, p)
-    qw = omega_times(f, q)
-    g = np.gcd(norm(f, p), norm(f, q))
-    g = np.gcd(g, p.a * q.b - q.a * p.b)
-    g = np.gcd(g, p.a * qw.b - qw.a * p.b)
-    return np.gcd(g, pw.a * q.b - q.a * pw.b) == 1
+    r = np.arange(ideal.alpha, dtype=np.int64)  # gamma divides alpha in an ideal's HNF
+    p = RingElement(r[None, :], r[: ideal.gamma, None])
+    return reduce(np.gcd, _pair_minors(f, p, q)) == 1
 
 
 def ring_totient(f: FieldSpec, q: RingElement) -> int:
@@ -475,27 +474,17 @@ def enumerate_norm_le(
             yield RingElement(u, v)
 
 
-def _norm_form(f: FieldSpec, u, v):
-    """N(u + v*omega) elementwise, for int64 arrays (or ints) u and v.
-
-    Int64 holds it while each term u^2, u*v and d*v^2 stays below 2^63; on a
-    row of _rows_norm_le each is a few times bound at most, so every bound
-    below 2^60 is exact.
-    """
-    if f.is_rational:
-        return np.abs(u)
-    if f.half_basis:
-        return u * u + u * v + f.half_m * v * v
-    return u * u + f.d * v * v
-
-
 _HISTOGRAM_BLOCK = 1 << 18  # values (2 MB of int64) per block of _blocks
 
 
 def _row_norms(f: FieldSpec, lattice: LatticeIdeal, bound: int) -> Iterator[np.ndarray]:
     """The norms of the lattice points of each row of _rows_norm_le, as int64 arrays."""
     for v, u0, n_pts in _rows_norm_le(f, lattice, bound):
-        yield _norm_form(f, u0 + lattice.alpha * np.arange(n_pts, dtype=np.int64), v)
+        # int64 holds N(u + v*omega) while each term u^2, u*v and d*v^2 stays
+        # below 2^63; on a row each is a few times bound at most, so every
+        # bound below 2^60 is exact
+        u = u0 + lattice.alpha * np.arange(n_pts, dtype=np.int64)
+        yield norm(f, RingElement(u, v))
 
 
 def count_and_sum_norms(

@@ -275,6 +275,9 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         (["zeta", "--field", "d=1", "--tolerance", "1e-300"], "too-large"),
         # 4*M*zeta(2)/tol is inf in floats; the message names the tolerance
         (["zeta", "--field", "d=1", "--tolerance", "5e-324"], "too-large"),
+        (["poincare", "--field", "d=1", "--cutoffs", "0.5,2,3", "--s", "1.5"], "bad-cutoffs"),
+        (["zeta", "--field", "d=1", "--tolerance", "nan"], "bad-tolerance"),
+        (["zeta", "--field", "rational", "--tolerance", "inf"], "bad-tolerance"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text

@@ -272,6 +272,13 @@ def test_zeta_eisenstein_frozen(K3):
     assert abs(zeta_K_2(K3, 1e-10) - 1.28519095548415) <= 1e-9
 
 
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_zeta_rejects_a_tolerance_not_positive_and_finite(Q, K1, tol):
+    for f in (Q, K1):
+        with pytest.raises(ValueError):
+            zeta_K_2(f, tol)
+
+
 def test_zeta_tolerance_scales(K5):
     loose = zeta_K_2(K5, 1e-4)
     tight = zeta_K_2(K5, 1e-12)

@@ -8,9 +8,19 @@ import warnings
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from horocount.counting import phi
-from horocount.field import RingElement, arch_norm_sq, make_field, mul, norm, sub, units
+from horocount.counting import phi, unit_orbit_reps
+from horocount.field import (
+    RingElement,
+    _canonical_associate,
+    arch_norm_sq,
+    make_field,
+    mul,
+    norm,
+    sub,
+    units,
+)
 from horocount.geodesics import (
     DisjointnessReport,
     MixedFieldError,
@@ -66,6 +76,27 @@ def test_unit_invariance(K1, K3):
             base = make_geodesic(f, p, q)
             for u in units(f):
                 assert make_geodesic(f, mul(f, u, p), mul(f, u, q)) == base
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.sampled_from(["rational", 1, 2, 3, 5, 7, 15]),
+    a=st.integers(-12, 12),
+    b=st.integers(-12, 12),
+)
+def test_one_associate_rule(d, a, b):
+    """unit_orbit_reps keeps, and make_geodesic gives, the one canonical
+    associate of each denominator orbit."""
+    f = make_field(d)
+    q = RingElement(a, 0 if f.is_rational else b)
+    assume(not q.is_zero())
+    orbit = {mul(f, u, q) for u in units(f)}
+    (canon,) = {_canonical_associate(f, e)[0] for e in orbit}
+    reps = unit_orbit_reps(f, norm(f, q))
+    assert canon in reps
+    assert sum(r in orbit for r in reps) == 1
+    for r in reps:
+        assert make_geodesic(f, RingElement(1), r).q == r
 
 
 def test_canonicalization_idempotent(K1, K3, Q):
