@@ -91,6 +91,10 @@ class RunConfig:
             raise CliError("bad-method", f"unknown method {self.method!r}")
         if self.format not in ("json", "csv"):
             raise CliError("bad-format", f"unknown format {self.format!r}")
+        if self.command != "zeta" and self.tolerance is not None:
+            raise CliError(
+                "stray-tolerance", f"--tolerance tol={self.tolerance:g} is only meaningful for zeta"
+            )
         if self.tolerance is not None and not 0 < self.tolerance < math.inf:
             raise CliError(
                 "bad-tolerance", f"--tolerance tol={self.tolerance:g} is not a positive finite number"

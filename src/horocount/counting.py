@@ -13,7 +13,9 @@ integer-for-integer:
   oracle, so it shares no logic with the other two;
 * mobius -- phi(x) = sum over squarefree ideals I of mu(I) * T_I(x) / N(I),
   with T_I(x) the norm sum over principal ideals inside I; every field, Q
-  included, with the squarefree ideals built as products of distinct primes;
+  included, with the squarefree ideals built as products of distinct primes.
+  One blocked pass over the lattice rows of all of them at once fills a
+  ragged histogram, cell (I, k) for the elements of I of norm k * N(I);
 * sieve -- the multiplicative fill of n -> sum of Phi(I) over the ideals of
   norm n; every field with h = 1 (Q included), where every ideal is principal.
 
@@ -49,10 +51,11 @@ from .field import (
 )
 from .ideals import (
     LatticeIdeal,
+    _hnf_arrays,
+    _lattice_points,
+    _relative_norm_histograms,
     coprime_box,
     count_and_sum_norms,
-    enumerate_norm_le,
-    relative_norm_histogram,
     squarefree_ideals,
     unit_ideal,
 )
@@ -79,12 +82,15 @@ def unit_orbit_reps(f: FieldSpec, x: float) -> list[RingElement]:
     order.
 
     The representative kept is the (y, x)-lexicographic maximum of its w
-    associates, the canonical denominator of make_geodesic.
+    associates, the canonical denominator of make_geodesic: a lattice point is
+    kept when it is its own canonical associate, tested a block at a time.
     """
-    return [
-        e for e in enumerate_norm_le(f, unit_ideal(f), int(x))
-        if _canonical_associate(f, e)[0] == e
-    ]
+    reps: list[RingElement] = []
+    for u, v in _lattice_points(f, unit_ideal(f), int(x)):
+        canon, _ = _canonical_associate(f, RingElement(u, v))
+        keep = (canon.a == u) & (canon.b == v) & ((u != 0) | (v != 0))
+        reps.extend(map(RingElement, u[keep].tolist(), v[keep].tolist()))
+    return reps
 
 
 def _brute_increments(f: FieldSpec, bound: int) -> np.ndarray:
@@ -98,13 +104,17 @@ def _brute_increments(f: FieldSpec, bound: int) -> np.ndarray:
 def _mobius_increments(f: FieldSpec, bound: int) -> np.ndarray:
     """inc[n] = the norm-n terms of sum over squarefree I of mu(I) T_I / N(I).
 
-    A principal ideal (q) inside I with N(q) = n adds mu(I) * n / N(I).
+    A principal ideal (q) inside I with N(q) = k * N(I) adds mu(I) * k, so a
+    cell of hits elements of I of norm k * N(I) adds mu(I) * k * hits / w at
+    k * N(I); the cells of every squarefree ideal come from one blocked pass.
     """
+    mu, ideals = zip(*squarefree_ideals(f, bound))
+    mu = np.array(mu, dtype=np.int64)
+    alpha, beta, gamma = _hnf_arrays(ideals)
     inc = np.zeros(bound + 1, dtype=np.int64)
-    for m, ideal in squarefree_ideals(f, bound):
-        hits = relative_norm_histogram(f, ideal, bound)  # hits[k]: elements of norm k * N(I)
+    for owner, k, hits in _relative_norm_histograms(f, alpha, beta, gamma, bound):
         assert not (hits % f.w).any()  # the w units act freely
-        inc[:: ideal.norm] += m * (hits // f.w) * np.arange(len(hits), dtype=np.int64)
+        np.add.at(inc, k * alpha[owner] * gamma[owner], mu[owner] * k * (hits // f.w))
     return inc
 
 

@@ -213,8 +213,22 @@ def units(f: FieldSpec) -> tuple[RingElement, ...]:
 
 def _canonical_associate(f: FieldSpec, q: RingElement) -> tuple[RingElement, RingElement]:
     """(u*q, u) for the unit u that makes u*q the (y, x)-lexicographic maximum
-    of the w associates of q: the one denominator kept per unit orbit."""
-    return max(((mul(f, u, q), u) for u in units(f)), key=lambda c: (c[0].b, c[0].a))
+    of the w associates of q: the one denominator kept per unit orbit.
+
+    q holds ints, or int64 arrays to take the rule elementwise (u then holds
+    arrays too); ints give ints.
+    """
+    first, *rest = units(f)
+    best, best_u = mul(f, first, q), first
+    for u in rest:
+        c = mul(f, u, q)
+        above = (c.b > best.b) | ((c.b == best.b) & (c.a > best.a))
+        if isinstance(above, np.ndarray):
+            best = RingElement(np.where(above, c.a, best.a), np.where(above, c.b, best.b))
+            best_u = RingElement(np.where(above, u.a, best_u.a), np.where(above, u.b, best_u.b))
+        elif above:
+            best, best_u = c, u
+    return best, best_u
 
 
 # ----------------------------------------------------------------------

@@ -421,70 +421,123 @@ def is_principal(f: FieldSpec, ideal: LatticeIdeal) -> bool:
 # Lattice-point enumeration inside the norm ellipse
 # ----------------------------------------------------------------------
 
-def _rows_norm_le(
-    f: FieldSpec, lattice: LatticeIdeal, bound: int
-) -> Iterator[tuple[int, int, int]]:
-    """Rows (v, u0, count) covering all lattice points of norm <= bound.
+# lattice points (512 KB of int64) per block of _point_blocks, and rows plus
+# cells per run of ideals in _relative_norm_histograms
+_HISTOGRAM_BLOCK = 1 << 16
 
-    Row elements are u = u0 + j*alpha (0 <= j < count) with fixed
-    omega-coordinate v; the zero element is included when it qualifies.
+
+def _isqrt(n: np.ndarray) -> np.ndarray:
+    """floor(sqrt(n)) for a nonnegative int64 array: the float root, moved by one
+    where it is off; below 2^62 the float root is off by less than one."""
+    s = np.sqrt(n.astype(np.float64)).astype(np.int64)
+    s -= s * s > n
+    s += (s + 1) * (s + 1) <= n
+    return s
+
+
+def _k_max(f: FieldSpec, gamma: np.ndarray, bound: int) -> np.ndarray:
+    """k_max per lattice: its rows v = k*gamma inside the norm ellipse have
+    |k| <= k_max; 0 over Q, whose lattices have the one row v = 0."""
+    if f.is_rational:
+        return np.zeros_like(gamma)
+    return isqrt((4 * bound if f.half_basis else bound) // f.d) // gamma
+
+
+def _hnf_arrays(lattices: Iterable[LatticeIdeal]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, beta, gamma) of one or more lattices as three int64 arrays."""
+    hnfs = zip(*((L.alpha, L.beta, L.gamma) for L in lattices))
+    return tuple(np.array(c, dtype=np.int64) for c in hnfs)
+
+
+def _rows_norm_le(
+    f: FieldSpec, alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray, bound: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (owner, v, u0, count), int64 arrays, covering every point of norm
+    <= bound of the lattices [[alpha[i], beta[i]], [0, gamma[i]]] (one lattice
+    or many, as from _hnf_arrays).
+
+    A row holds the elements u + v*omega of lattice i = owner with
+    u = u0 + j*alpha[i], 0 <= j < count; rows run by owner, then by v, and
+    empty rows are dropped.  The zero element is included when it qualifies.
+
+    Exact for bound below 2^60: d*v^2 <= 4*bound, the array isqrt squares
+    values below 2^31, and each term u^2, u*v and d*v^2 of a norm on a row is
+    at most a few times bound.
     """
     if bound < 0:
-        return
-    alpha, beta, gamma = lattice.alpha, lattice.beta, lattice.gamma
+        return (np.zeros(0, dtype=np.int64),) * 4
+    k_max = _k_max(f, gamma, bound)
+    n_rows = 2 * k_max + 1
+    owner = np.repeat(np.arange(len(alpha)), n_rows)
+    k = np.arange(owner.size) - np.repeat(np.cumsum(n_rows) - n_rows + k_max, n_rows)
+    step = alpha[owner]
+    v = k * gamma[owner]
     if f.is_rational:
-        if bound >= alpha:
-            n = bound // alpha
-            yield 0, -n * alpha, 2 * n + 1
-        else:
-            yield 0, 0, 1  # just the zero element; callers filter norm > 0
-        return
-    d = f.d
-    assert d is not None
-    if f.half_basis:
-        vmax = isqrt(4 * bound // d)
+        lo, hi = -bound, bound
+    elif f.half_basis:
+        t_hi = _isqrt(4 * bound - f.d * v * v)  # |2u + v| <= t_hi
+        lo, hi = -((t_hi + v) // 2), (t_hi - v) // 2
     else:
-        vmax = isqrt(bound // d)
-    for k in range(-(vmax // gamma), vmax // gamma + 1):
-        v = k * gamma
-        r = (k * beta) % alpha
-        if f.half_basis:
-            t_hi = isqrt(4 * bound - d * v * v)
-            lo = -((t_hi + v) // 2)
-            hi = (t_hi - v) // 2
-        else:
-            u_hi = isqrt(bound - d * v * v)
-            lo, hi = -u_hi, u_hi
-        u0 = lo + (r - lo) % alpha
-        if u0 > hi:
-            continue
-        yield v, u0, (hi - u0) // alpha + 1
+        hi = _isqrt(bound - f.d * v * v)
+        lo = -hi
+    u0 = lo + (k * beta[owner] - lo) % step  # the row's first u = k*beta mod alpha
+    live = u0 <= hi
+    return owner[live], v[live], u0[live], ((hi - u0) // step + 1)[live]
+
+
+def _runs(sizes: np.ndarray, cap: int) -> Iterator[tuple[int, int]]:
+    """Consecutive index ranges [lo, hi) whose sizes sum to at most cap, or
+    that hold one item larger than cap."""
+    ends = np.cumsum(sizes)
+    lo = 0
+    while lo < len(sizes):
+        filled = int(ends[lo - 1]) if lo else 0
+        hi = max(int(np.searchsorted(ends, filled + cap, side="right")), lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _point_blocks(
+    alpha: np.ndarray, rows: tuple[np.ndarray, ...]
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """The points of rows (owner, v, u0, count) in row order, in blocks of at
+    most _HISTOGRAM_BLOCK: (owner, count, u, v) per block, the first two for
+    the block's rows.  A row longer than a block is cut into pieces first."""
+    owner, v, u0, count = rows
+    block = _HISTOGRAM_BLOCK
+    pieces = -(-count // block)
+    if (pieces > 1).any():
+        row = np.repeat(np.arange(len(count)), pieces)
+        j = block * (np.arange(row.size) - np.repeat(np.cumsum(pieces) - pieces, pieces))
+        owner, v = owner[row], v[row]
+        u0 = u0[row] + j * alpha[owner]
+        count = np.minimum(count[row] - j, block)
+    for lo, hi in _runs(count, block):
+        n = count[lo:hi]
+        first = np.cumsum(n) - n
+        step = alpha[owner[lo:hi]]
+        pos = np.arange(first[-1] + n[-1], dtype=np.int64)
+        u = np.repeat(u0[lo:hi] - step * first, n) + np.repeat(step, n) * pos
+        yield owner[lo:hi], n, u, np.repeat(v[lo:hi], n)
+
+
+def _lattice_points(
+    f: FieldSpec, lattice: LatticeIdeal, bound: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(u, v) int64 blocks of the elements u + v*omega of norm <= bound, zero
+    included, in (y, x)-lex order."""
+    alpha, beta, gamma = _hnf_arrays([lattice])
+    for _, _, u, v in _point_blocks(alpha, _rows_norm_le(f, alpha, beta, gamma, bound)):
+        yield u, v
 
 
 def enumerate_norm_le(
     f: FieldSpec, lattice: LatticeIdeal, x: float
 ) -> Iterator[RingElement]:
     """Every nonzero lattice element of norm <= x, exactly once, in (y, x)-lex order."""
-    bound = int(x)
-    for v, u0, count in _rows_norm_le(f, lattice, bound):
-        for j in range(count):
-            u = u0 + j * lattice.alpha
-            if u == 0 and v == 0:
-                continue
-            yield RingElement(u, v)
-
-
-_HISTOGRAM_BLOCK = 1 << 18  # values (2 MB of int64) per block of _blocks
-
-
-def _row_norms(f: FieldSpec, lattice: LatticeIdeal, bound: int) -> Iterator[np.ndarray]:
-    """The norms of the lattice points of each row of _rows_norm_le, as int64 arrays."""
-    for v, u0, n_pts in _rows_norm_le(f, lattice, bound):
-        # int64 holds N(u + v*omega) while each term u^2, u*v and d*v^2 stays
-        # below 2^63; on a row each is a few times bound at most, so every
-        # bound below 2^60 is exact
-        u = u0 + lattice.alpha * np.arange(n_pts, dtype=np.int64)
-        yield norm(f, RingElement(u, v))
+    for u, v in _lattice_points(f, lattice, int(x)):
+        nonzero = (u != 0) | (v != 0)
+        yield from map(RingElement, u[nonzero].tolist(), v[nonzero].tolist())
 
 
 def count_and_sum_norms(
@@ -493,50 +546,62 @@ def count_and_sum_norms(
     """(#nonzero elements with norm <= bound, sum of their norms); vectorized."""
     count = 0
     total = 0
-    for norms in _row_norms(f, lattice, bound):
-        nz = norms > 0
-        count += int(np.count_nonzero(nz))
-        total += int(norms[nz].sum())
+    for u, v in _lattice_points(f, lattice, bound):
+        norms = norm(f, RingElement(u, v))
+        count += int(np.count_nonzero(norms))
+        total += int(norms.sum())
     return count, total
 
 
-def _blocks(rows: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
-    """The rows concatenated into blocks of about _HISTOGRAM_BLOCK values: a
-    histogram that adds one bincount per block holds one block at a time."""
-    block: list[np.ndarray] = []
-    filled = 0
-    for row in rows:
-        block.append(row)
-        filled += len(row)
-        if filled >= _HISTOGRAM_BLOCK:
-            yield np.concatenate(block)
-            block, filled = [], 0
-    if block:
-        yield np.concatenate(block)
-
-
 def norm_histogram(f: FieldSpec, lattice: LatticeIdeal, bound: int) -> np.ndarray:
-    """counts[n] = number of nonzero lattice elements of norm exactly n <= bound."""
+    """counts[n] = number of nonzero lattice elements of norm exactly n <= bound.
+
+    Each block adds its norms in place (np.add.at): a bincount per block would
+    make and add a second array of bound + 1 cells for every block.
+    """
     counts = np.zeros(bound + 1, dtype=np.int64)
-    for norms in _blocks(_row_norms(f, lattice, bound)):
-        counts += np.bincount(norms, minlength=bound + 1)
+    for u, v in _lattice_points(f, lattice, bound):
+        np.add.at(counts, norm(f, RingElement(u, v)), 1)
     if bound >= 0:
         counts[0] = 0
     return counts
+
+
+def _relative_norm_histograms(
+    f: FieldSpec, alpha: np.ndarray, beta: np.ndarray, gamma: np.ndarray, bound: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Relative norm histograms of the ideals [[alpha[i], beta[i]], [0, gamma[i]]]
+    in one blocked pass, as (owner, k, hits) cell arrays: hits counts the
+    nonzero elements of ideal owner of norm k * N(owner), in bound // N + 1
+    cells per ideal (N(I) divides the norm of every element of I; asserted).
+
+    The ideals go in runs whose rows and cells stay near _HISTOGRAM_BLOCK, and
+    each run yields its cells once its points are counted, one bincount per
+    point block into the run's ragged histogram.
+    """
+    norms = alpha * gamma
+    size = np.maximum(bound // norms + 1, 0)
+    cost = size + 2 * _k_max(f, gamma, max(bound, 0)) + 1
+    for lo, hi in _runs(cost, _HISTOGRAM_BLOCK):
+        start = np.cumsum(size[lo:hi]) - size[lo:hi]
+        hits = np.zeros(int(size[lo:hi].sum()), dtype=np.int64)
+        rows = _rows_norm_le(f, alpha[lo:hi], beta[lo:hi], gamma[lo:hi], bound)
+        for owner, n, u, v in _point_blocks(alpha[lo:hi], rows):
+            owner = np.repeat(owner, n)
+            quot, rem = np.divmod(norm(f, RingElement(u, v)), norms[lo:hi][owner])
+            assert not rem.any(), "a norm in an ideal is not a multiple of N(I)"
+            hits += np.bincount(start[owner] + quot, minlength=hits.size)
+        owner = np.repeat(np.arange(lo, hi), size[lo:hi])
+        k = np.arange(hits.size) - start[owner - lo]
+        hits[k == 0] = 0  # the zero element
+        yield owner, k, hits
 
 
 def relative_norm_histogram(f: FieldSpec, ideal: LatticeIdeal, bound: int) -> np.ndarray:
     """counts[k] = number of nonzero elements of the ideal of norm k * N(I) <= bound,
-    in bound // N(I) + 1 cells: N(I) divides the norm of every element of I."""
-    size = bound // ideal.norm + 1
-    counts = np.zeros(size, dtype=np.int64)
-    for norms in _blocks(_row_norms(f, ideal, bound)):
-        quot, rem = np.divmod(norms, ideal.norm)
-        assert not rem.any(), f"a norm in {ideal} is not a multiple of N(I)"
-        counts += np.bincount(quot, minlength=size)
-    if bound >= 0:
-        counts[0] = 0
-    return counts
+    in bound // N(I) + 1 cells: the one-ideal case of the blocked pass."""
+    ((_, _, hits),) = _relative_norm_histograms(f, *_hnf_arrays([ideal]), bound)
+    return hits
 
 
 # ----------------------------------------------------------------------

@@ -278,6 +278,8 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         (["poincare", "--field", "d=1", "--cutoffs", "0.5,2,3", "--s", "1.5"], "bad-cutoffs"),
         (["zeta", "--field", "d=1", "--tolerance", "nan"], "bad-tolerance"),
         (["zeta", "--field", "rational", "--tolerance", "inf"], "bad-tolerance"),
+        # only zeta reads a tolerance
+        (["count", "--field", "d=1", "--cutoffs", "10", "--tolerance", "0.5"], "stray-tolerance"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text

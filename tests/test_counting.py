@@ -43,6 +43,8 @@ from horocount.field import (
     zeta_K_2,
 )
 from horocount.ideals import (
+    count_and_sum_norms,
+    enumerate_norm_le,
     norm_histogram,
     prime_ideals_above,
     principal_ideal,
@@ -187,6 +189,42 @@ def test_phi_profile_entries_are_python_ints(Q, K1):
     for f, method in cases:
         prof = phi_profile(f, 30, method=method)
         assert len(prof) == 31 and all(type(v) is int for v in prof), (f, method)
+
+
+@pytest.mark.parametrize("d", ["rational", 1, 5])
+def test_kernel_outputs_are_python_ints(d):
+    f = make_field(d)
+    reps = unit_orbit_reps(f, 60)
+    points = list(enumerate_norm_le(f, principal_ideal(f, RingElement(2, 0 if f.is_rational else 1)), 60))
+    assert reps and points
+    assert all(type(c) is int for q in reps + points for c in (q.a, q.b))
+    for method in METHODS if f.h == 1 else ("brute", "mobius"):
+        assert all(type(v) is int for v in phi_profile(f, 60, method)), method
+
+
+@pytest.mark.parametrize("d", ["rational", 1, 3, 5, 23])
+def test_block_boundaries_change_nothing(d, monkeypatch):
+    """Blocks of 1, 7 and 64 points cut rows and runs of ideals everywhere;
+    every kernel that reads the row expander must give its default result."""
+    from horocount import ideals
+
+    f = make_field(d)
+    prime = prime_ideals_above(f, 3)[0][1]
+
+    def outputs():
+        return (
+            [norm_histogram(f, L, 400).tolist() for L in (unit_ideal(f), prime)],
+            [count_and_sum_norms(f, L, 400) for L in (unit_ideal(f), prime)],
+            [list(enumerate_norm_le(f, L, 150)) for L in (unit_ideal(f), prime)],
+            unit_orbit_reps(f, 400),
+            phi_profile(f, 400, "mobius"),
+        )
+
+    default = outputs()
+    assert default[-1] == phi_profile(f, 400, "brute")
+    for block in (1, 7, 64):
+        monkeypatch.setattr(ideals, "_HISTOGRAM_BLOCK", block)
+        assert outputs() == default, block
 
 
 # ----------------------------------------------------------------------

@@ -86,12 +86,13 @@ def test_unit_invariance(K1, K3):
 )
 def test_one_associate_rule(d, a, b):
     """unit_orbit_reps keeps, and make_geodesic gives, the one canonical
-    associate of each denominator orbit."""
+    associate of each denominator orbit, its (y, x)-lex maximum."""
     f = make_field(d)
     q = RingElement(a, 0 if f.is_rational else b)
     assume(not q.is_zero())
     orbit = {mul(f, u, q) for u in units(f)}
     (canon,) = {_canonical_associate(f, e)[0] for e in orbit}
+    assert canon == max(orbit, key=lambda e: (e.b, e.a))
     reps = unit_orbit_reps(f, norm(f, q))
     assert canon in reps
     assert sum(r in orbit for r in reps) == 1

@@ -423,16 +423,16 @@ def test_norm_histogram_matches_enumeration(d):
 
 def test_row_partition_independence(K1):
     # aggregating row subsets in any split must reproduce the full totals
-    from horocount.ideals import _rows_norm_le
+    from horocount.ideals import _hnf_arrays, _rows_norm_le
 
     lattice = principal_ideal(K1, RingElement(1, 2))
     bound = 400
-    rows = list(_rows_norm_le(K1, lattice, bound))
+    rows = list(zip(*(r.tolist() for r in _rows_norm_le(K1, *_hnf_arrays([lattice]), bound))))
     full = count_and_sum_norms(K1, lattice, bound)
 
     def aggregate(row_subset):
         c = t = 0
-        for v, u0, n_pts in row_subset:
+        for _, v, u0, n_pts in row_subset:
             for j in range(n_pts):
                 u = u0 + j * lattice.alpha
                 n = norm(K1, RingElement(u, v))
@@ -445,6 +445,62 @@ def test_row_partition_independence(K1):
         va, ta = aggregate(rows[:split_at])
         vb, tb = aggregate(rows[split_at:])
         assert (va + vb, ta + tb) == full
+
+
+def _box_scan(f, lattice, bound):
+    """The elements of norm <= bound, zero included, by membership tests over a
+    box that holds the norm ellipse: |a| <= bound over Q; otherwise |b| and
+    |a| are at most 2*sqrt(bound), as N(a + b*omega) >= d*b^2/4 and
+    N >= (|a| - |b|/2)^2 in either basis."""
+    r = bound if f.is_rational else 2 * math.isqrt(bound) + 2
+    ys = [0] if f.is_rational else range(-r, r + 1)
+    return Counter(
+        (a, b)
+        for b in ys
+        for a in range(-r, r + 1)
+        if lattice.contains(RingElement(a, b)) and norm(f, RingElement(a, b)) <= bound
+    )
+
+
+def _coords(f, gens):
+    """Nonzero pairs as elements; over Q the pair (a, b) gives a, or b if a = 0."""
+    return [RingElement(a or b, 0) if f.is_rational else RingElement(a, b) for a, b in gens]
+
+
+_GEN = st.tuples(st.integers(-6, 6), st.integers(-6, 6)).filter(lambda g: g != (0, 0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    d=st.sampled_from(["rational", 1, 2, 3, 5, 7, 15, 23]),
+    one=_GEN,
+    two=st.lists(_GEN, min_size=2, max_size=2),
+    bound=st.integers(0, 400),
+)
+def test_rows_norm_le_match_box_scan(d, one, two, bound):
+    """The row kernel, on one lattice and on two at once, covers each point of
+    norm <= bound exactly once, and enumerate_norm_le keeps (y, x)-lex order."""
+    from horocount.ideals import _hnf_arrays, _rows_norm_le
+
+    f = make_field(d)
+    lattices = [hnf_from_generators(f, _coords(f, gens)) for gens in ([one], two)]
+    alpha, beta, gamma = _hnf_arrays(lattices)
+    for b in sorted({0, bound, min(max(min(L.alpha for L in lattices) - 1, 0), 400)}):
+        owner, v, u0, count = (r.tolist() for r in _rows_norm_le(f, alpha, beta, gamma, b))
+        assert owner == sorted(owner)
+        for i, lattice in enumerate(lattices):
+            got = Counter(
+                (u0[r] + j * lattice.alpha, v[r])
+                for r in range(len(owner)) if owner[r] == i
+                for j in range(count[r])
+            )
+            want = _box_scan(f, lattice, b)
+            assert got == want, (lattice, b)
+            one_rows = [r.tolist() for r in _rows_norm_le(f, *_hnf_arrays([lattice]), b)]
+            assert one_rows[1:] == [[x for x, o in zip(col, owner) if o == i] for col in (v, u0, count)]
+            listed = [(x.b, x.a) for x in enumerate_norm_le(f, lattice, b)]
+            assert listed == sorted(listed)
+            assert Counter((a, y) for y, a in listed) == want - Counter({(0, 0): 1})
 
 
 def test_ideal_contains_ideal_is_divisibility(K1):
