@@ -13,7 +13,6 @@ from .field import (
     make_field,
     norm,
     residue_K,
-    ring_arith,
     units,
     zeta_K_2,
 )
@@ -26,7 +25,6 @@ from .ideals import (
     hnf_from_generators,
     is_coprime,
     mobius_ideal,
-    residues_mod,
     ring_totient,
 )
 from .counting import (

@@ -27,21 +27,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def is_squarefree(n: int) -> bool:
-    if n < 1:
-        return False
-    if n % 4 == 0:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % (p * p) == 0:
-            return False
-        if n % p == 0:
-            n //= p
-        p += 1 if p == 2 else 2
-    return True
-
-
 def smallest_prime_factors(n: int) -> np.ndarray:
     """spf[k] = smallest prime factor of k for 0 <= k <= n (spf[0]=spf[1]=0)."""
     spf = np.zeros(n + 1, dtype=np.int64)
@@ -78,6 +63,10 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def is_squarefree(n: int) -> bool:
+    return n >= 1 and all(e == 1 for _, e in factorize(n))
 
 
 def multiplicative_fill(n: int, prime_power) -> np.ndarray:

@@ -105,11 +105,13 @@ def _field_record(f: FieldSpec) -> dict:
     return {"kind": f.kind, "d": f.d, "D": f.D, "w": f.w, "h": f.h}
 
 
-def _provenance(f: FieldSpec, value, method: str, tolerance: float | None = None) -> dict:
-    rec = {"value": value, "method": method, "field": _field_record(f)}
-    if tolerance is not None:
-        rec["tolerance"] = tolerance
-    return rec
+def _row(f: FieldSpec, value, method: str, x_or_t, predicted=None, **extra) -> dict:
+    """One result row: the value with its method, field and abscissa, the
+    predicted main term and value / predicted where there is one, and any
+    command-specific keys."""
+    ratio = value / predicted if predicted else None
+    return {"value": value, "method": method, "field": _field_record(f), "x_or_t": x_or_t,
+            "predicted": predicted, "ratio": ratio, **extra}
 
 
 # ----------------------------------------------------------------------
@@ -132,35 +134,20 @@ def _cmd_count(config: RunConfig) -> tuple[list[dict], dict]:
     profiles = {m: counting.phi_profile(f, top, method=m) for m in methods}
     for x in config.cutoffs:
         predicted = counting.phi_asymptotic(f, x)
-        for m in methods:
-            value = profiles[m][int(x)]
-            row = _provenance(f, value, m)
-            row["x_or_t"] = x
-            row["predicted"] = predicted
-            row["ratio"] = value / predicted if predicted else None
-            rows.append(row)
+        rows.extend(_row(f, profiles[m][int(x)], m, x, predicted) for m in methods)
     return rows, {}
 
 
 def _cmd_zeta(config: RunConfig) -> tuple[list[dict], dict]:
     f = config.field
     tol = config.tolerance if config.tolerance is not None else 1e-10
-    value = zeta_K_2(f, tol)
-    row = _provenance(f, value, "character-series", tolerance=tol)
-    row["x_or_t"] = 2.0
-    row["predicted"] = None
-    row["ratio"] = None
-    rows = [row]
-    return rows, {"residue": residue_K(f)}
+    row = _row(f, zeta_K_2(f, tol), "character-series", 2.0, tolerance=tol)
+    return [row], {"residue": residue_K(f)}
 
 
 def _cmd_classnum(config: RunConfig) -> tuple[list[dict], dict]:
     f = config.field
-    row = _provenance(f, f.h, "reduced-forms")
-    row["x_or_t"] = None
-    row["predicted"] = None
-    row["ratio"] = None
-    return [row], {}
+    return [_row(f, f.h, "reduced-forms", None)], {}
 
 
 def _cmd_depths(config: RunConfig) -> tuple[list[dict], dict]:
@@ -171,15 +158,10 @@ def _cmd_depths(config: RunConfig) -> tuple[list[dict], dict]:
     except OverflowError:
         raise CliError("bad-cutoffs", "a depth cutoff overflows e^t") from None
     profile = counting.phi_profile(f, cutoffs[-1], method=method)
-    rows = []
-    for t, cutoff in zip(config.cutoffs, cutoffs):
-        value = profile[cutoff]
-        predicted = counting.phi_asymptotic(f, geodesics._depth_norm(f, t))
-        row = _provenance(f, value, method)
-        row["x_or_t"] = t
-        row["predicted"] = predicted
-        row["ratio"] = value / predicted if predicted else None
-        rows.append(row)
+    rows = [
+        _row(f, profile[cutoff], method, t, counting.phi_asymptotic(f, geodesics._depth_norm(f, t)))
+        for t, cutoff in zip(config.cutoffs, cutoffs)
+    ]
     return rows, {}
 
 
@@ -234,16 +216,11 @@ def _cmd_poincare(config: RunConfig) -> tuple[list[dict], dict]:
     }
     if not all(math.isfinite(ps.value) for series in sums.values() for ps in series):
         raise CliError("bad-s", f"--s {s} makes a partial sum overflow the float range")
-    rows = []
-    for pair in zip(*sums.values()):  # per cutoff: relative, then parabolic
-        for ps in pair:
-            row = _provenance(f, ps.value, "partial-sum")
-            row["x_or_t"] = ps.cutoff
-            row["kind"] = ps.kind
-            row["s"] = s
-            row["predicted"] = None
-            row["ratio"] = None
-            rows.append(row)
+    rows = [
+        _row(f, ps.value, "partial-sum", ps.cutoff, kind=ps.kind, s=s)
+        for pair in zip(*sums.values())  # per cutoff: relative, then parabolic
+        for ps in pair
+    ]
     extras: dict = {}
     if len(config.cutoffs) >= 3:
         extras["verdicts"] = {

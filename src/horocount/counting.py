@@ -33,6 +33,7 @@ Int64 ceilings:
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -156,9 +157,18 @@ def resolve_method(f: FieldSpec, method: str = "auto") -> str:
 
 
 def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
-    """[phi(0), phi(1), ..., phi(floor(x))] computed in one pass."""
+    """[phi(0), phi(1), ..., phi(floor(x))] computed in one pass.
+
+    An x whose floor(x) + 1 int64 cells could not be indexed raises
+    OverflowError before anything is allocated.
+    """
     method = resolve_method(f, method)
     bound = int(x)
+    if bound + 1 > sys.maxsize // 8:  # the int64 array would pass ssize_t bytes
+        raise OverflowError(
+            f"phi up to x={x:g} needs {bound + 1} cells, past the largest array "
+            "this machine can index"
+        )
     if bound < 1:
         return [0] * (bound + 1)
     if method == "brute":

@@ -4,8 +4,11 @@ Dedekind zeta value at 2, the class number and the residue at 1.
 
 Elements are stored as integer coordinate pairs (a, b) meaning a + b*omega,
 where omega = sqrt(-d), or (1 + sqrt(-d))/2 when d = 3 mod 4, so that
-coprimality and norm tests stay exact.  The rational field is the degenerate
-case b = 0.
+coprimality and norm tests stay exact.  Every formula is written once from
+the minimal polynomial omega^2 = t*omega - n, with t and n the trace and norm
+of omega: (0, d) for sqrt(-d), (1, (1 + d)/4) for (1 + sqrt(-d))/2.  Its
+discriminant t^2 - 4n is -D.  The rational field is the degenerate case
+b = 0, with t = n = 0.
 """
 
 from __future__ import annotations
@@ -48,19 +51,17 @@ class RingElement:
         return f"({self.a}{self.b:+d}w)"
 
 
-ZERO = RingElement(0, 0)
-ONE = RingElement(1, 0)
-
-
 class FieldSpec:
     """The base field: Q, or Q(sqrt(-d)) for squarefree d > 0.
 
     Derived constants: D (the positive discriminant magnitude, d or 4d),
-    w (number of roots of unity), half_basis (omega = (1+sqrt(-d))/2 iff
-    d = 3 mod 4).  The class number h is computed lazily, on first use.
+    w (number of roots of unity), and t and n, the trace and norm of omega,
+    so that omega^2 = t*omega - n: (0, d) for omega = sqrt(-d), and
+    (1, (1 + d)/4) for omega = (1 + sqrt(-d))/2 when d = 3 mod 4.  Over Q,
+    t = n = 0.  The class number h is computed lazily, on first use.
     """
 
-    __slots__ = ("kind", "d", "D", "w", "half_basis", "_h")
+    __slots__ = ("kind", "d", "D", "w", "t", "n", "_h")
 
     def __init__(self, kind: str, d: int | None):
         self.kind = kind
@@ -68,11 +69,12 @@ class FieldSpec:
         if kind == RATIONAL:
             self.D = 1
             self.w = 2
-            self.half_basis = False
+            self.t = self.n = 0
         else:
             assert d is not None
-            self.half_basis = d % 4 == 3
-            self.D = d if self.half_basis else 4 * d
+            self.t = 1 if d % 4 == 3 else 0
+            self.n = (1 + d) // 4 if self.t else d
+            self.D = 4 * self.n - self.t * self.t  # -D = t^2 - 4n, the discriminant
             self.w = 4 if d == 1 else 6 if d == 3 else 2
         self._h: int | None = 1 if kind == RATIONAL else None
 
@@ -86,12 +88,6 @@ class FieldSpec:
         if self._h is None:
             self._h = _reduced_form_count(self.D)
         return self._h
-
-    @property
-    def half_m(self) -> int:
-        """The constant m in omega^2 = omega - m for the half-integer basis."""
-        assert self.half_basis and self.d is not None
-        return (1 + self.d) // 4
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -127,12 +123,10 @@ def make_field(d: int | str) -> FieldSpec:
 # ----------------------------------------------------------------------
 
 def norm(f: FieldSpec, x: RingElement) -> int:
-    """Field norm; |a| over Q, a^2 + d b^2 or a^2 + ab + m b^2 over Q(sqrt(-d))."""
+    """Field norm; |a| over Q, a*(a + t*b) + n*b^2 over Q(sqrt(-d))."""
     if f.is_rational:
         return abs(x.a)
-    if f.half_basis:
-        return x.a * x.a + x.a * x.b + f.half_m * x.b * x.b
-    return x.a * x.a + f.d * x.b * x.b
+    return x.a * (x.a + f.t * x.b) + f.n * x.b * x.b
 
 
 def arch_norm_sq(f: FieldSpec, x: RingElement) -> int:
@@ -154,45 +148,22 @@ def sub(x: RingElement, y: RingElement) -> RingElement:
 
 
 def mul(f: FieldSpec, x: RingElement, y: RingElement) -> RingElement:
-    if f.is_rational:
-        return RingElement(x.a * y.a, 0)
-    cross = x.a * y.b + x.b * y.a
-    if f.half_basis:
-        # omega^2 = omega - m
-        return RingElement(x.a * y.a - f.half_m * x.b * y.b, cross + x.b * y.b)
-    return RingElement(x.a * y.a - f.d * x.b * y.b, cross)
+    """x * y, reducing omega^2 = t*omega - n."""
+    bd = x.b * y.b
+    return RingElement(x.a * y.a - f.n * bd, x.a * y.b + x.b * y.a + f.t * bd)
 
 
 def conj(f: FieldSpec, x: RingElement) -> RingElement:
-    """Complex conjugation: fixes the rational part, negates the sqrt(-d) part."""
-    if f.is_rational:
-        return x
-    if f.half_basis:
-        # conj(omega) = 1 - omega
-        return RingElement(x.a + x.b, -x.b)
-    return RingElement(x.a, -x.b)
-
-
-def ring_arith(f: FieldSpec, op: str, x: RingElement, y: RingElement) -> RingElement:
-    """Dispatch for the four exact ring operations; conj ignores y."""
-    if op == "add":
-        return add(x, y)
-    if op == "sub":
-        return sub(x, y)
-    if op == "mul":
-        return mul(f, x, y)
-    if op == "conj":
-        return conj(f, x)
-    raise ValueError(f"unknown ring operation {op!r}")
+    """Complex conjugation: fixes the rational part, negates the sqrt(-d) part;
+    conj(omega) = t - omega."""
+    return RingElement(x.a + f.t * x.b, -x.b)
 
 
 def omega_times(f: FieldSpec, x: RingElement) -> RingElement:
     """x * omega; the O-module action used throughout the lattice code."""
     if f.is_rational:
         raise UnsupportedFieldError("omega is undefined over the rational field")
-    if f.half_basis:
-        return RingElement(-f.half_m * x.b, x.a + x.b)
-    return RingElement(-f.d * x.b, x.a)
+    return RingElement(-f.n * x.b, x.a + f.t * x.b)
 
 
 @lru_cache(maxsize=None)
@@ -330,24 +301,19 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
 def splitting_type(f: FieldSpec, p: int) -> str:
     """How the rational prime p splits in O: 'split', 'inert' or 'ramified'.
 
-    Determined by counting roots of the minimal polynomial of omega mod p
-    (Euler's criterion for the odd primes), deliberately not going through
-    kronecker_character so the two can be cross-checked.
+    Read off the minimal polynomial x^2 - t*x + n of omega mod p, whose
+    discriminant is -D: ramified iff p | D; for p = 2 with D odd, x^2 - x + n
+    has two roots iff n is even; for odd p, Euler's criterion on -D.  This
+    deliberately does not go through kronecker_character, so the two can be
+    cross-checked.
     """
     if f.is_rational:
         raise UnsupportedFieldError("splitting types need an imaginary quadratic field")
-    d = f.d
-    assert d is not None
-    if f.half_basis:
-        if p == 2:
-            # x^2 - x + m mod 2: two roots iff m even
-            return "split" if f.half_m % 2 == 0 else "inert"
-        if d % p == 0:
-            return "ramified"
-    else:
-        if p == 2 or d % p == 0:
-            return "ramified"
-    euler = pow(-d % p, (p - 1) // 2, p)
+    if f.D % p == 0:
+        return "ramified"
+    if p == 2:
+        return "split" if f.n % 2 == 0 else "inert"
+    euler = pow(-f.D % p, (p - 1) // 2, p)
     return "split" if euler == 1 else "inert"
 
 
@@ -438,8 +404,6 @@ __all__ = [
     "InvalidFieldError",
     "UnsupportedFieldError",
     "RingElement",
-    "ZERO",
-    "ONE",
     "FieldSpec",
     "make_field",
     "norm",
@@ -448,7 +412,6 @@ __all__ = [
     "sub",
     "mul",
     "conj",
-    "ring_arith",
     "omega_times",
     "units",
     "kronecker_character",

@@ -165,10 +165,9 @@ def _center_of(f: FieldSpec, p: RingElement, q: RingElement):
         return Fraction(p.a, q.a)
     n = norm(f, q)
     num = mul(f, p, conj(f, q))  # p/q = num / n
-    if f.half_basis:
-        # a + b*omega = (a + b/2) + (b/2) sqrt(-d)
-        return (Fraction(2 * num.a + num.b, 2 * n), Fraction(num.b, 2 * n))
-    return (Fraction(num.a, n), Fraction(num.b, n))
+    # a + b*omega = (a + t*b/2) + ((2 - t)*b/2) sqrt(-d), since omega is
+    # sqrt(-d) for t = 0 and (1 + sqrt(-d))/2 for t = 1
+    return (Fraction(2 * num.a + f.t * num.b, 2 * n), Fraction((2 - f.t) * num.b, 2 * n))
 
 
 def horoball_of(g: RationalGeodesic) -> Horoball:

@@ -52,10 +52,6 @@ class LatticeIdeal:
         return self.alpha * self.gamma
 
     @property
-    def entries(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.alpha, self.beta), (0, self.gamma))
-
-    @property
     def is_unit_ideal(self) -> bool:
         return self.alpha == 1 and self.gamma == 1
 
@@ -158,20 +154,22 @@ def _pair_minors(f: FieldSpec, p: RingElement, q: RingElement) -> tuple:
     elementwise when p holds arrays.
 
     The generators of (p, q) as a Z-lattice are p, p*omega, q, q*omega, and the
-    index of a full-rank sublattice of Z^2 equals the gcd of all 2x2 minors;
-    det(p*omega, q*omega) = N(omega)*det(p, q) is redundant and skipped.  Over
-    Q the lattice has rank 1 and the generators p, q are their own minors.
+    index of a full-rank sublattice of Z^2 equals the gcd of all 2x2 minors.
+    Four of the six are kept: N(p) = det(p, p*omega), N(q), det(p, q) and
+    det(p, q*omega).  The other two are integer combinations of those, since
+    det(Mx, y) + det(x, My) = tr(M) * det(x, y) for multiplication by omega:
+    det(p*omega, q) = t*det(p, q) - det(p, q*omega), and det(p*omega, q*omega)
+    = n*det(p, q).  Over Q the lattice has rank 1 and the generators p, q are
+    their own minors.
     """
     if f.is_rational:
         return p.a, q.a
-    pw = omega_times(f, p)
     qw = omega_times(f, q)
     return (
         norm(f, p),
         norm(f, q),
         p.a * q.b - q.a * p.b,
         p.a * qw.b - qw.a * p.b,
-        pw.a * q.b - q.a * pw.b,
     )
 
 
@@ -187,16 +185,6 @@ def is_coprime(f: FieldSpec, p: RingElement, q: RingElement) -> bool:
     if q.is_zero():
         raise InvalidDenominatorError("denominator must be nonzero")
     return pair_ideal_norm(f, p, q) == 1
-
-
-def residues_mod(f: FieldSpec, q: RingElement) -> list[RingElement]:
-    """The N(q) residues {x + y*omega : 0 <= x < alpha, 0 <= y < gamma} mod (q)."""
-    if q.is_zero():
-        raise InvalidDenominatorError("denominator must be nonzero")
-    ideal = principal_ideal(f, q)
-    return [
-        RingElement(x, y) for y in range(ideal.gamma) for x in range(ideal.alpha)
-    ]
 
 
 def reduce_mod(f: FieldSpec, x: RingElement, ideal: LatticeIdeal) -> RingElement:
@@ -258,28 +246,16 @@ class PrimeIdealTag:
 
 
 def _minpoly_roots_mod_p(f: FieldSpec, p: int) -> list[int]:
-    """Distinct roots of the minimal polynomial of omega modulo p, sorted."""
-    d = f.d
-    assert d is not None
-    if f.half_basis:
-        if p == 2:
-            return [0, 1] if f.half_m % 2 == 0 else []
-        if d % p == 0:
-            return [(p + 1) // 2]  # double root 1/2 mod p
-        s = sqrt_mod_prime(-d % p, p)
-        if s is None:
-            return []
-        inv2 = (p + 1) // 2
-        roots = {(1 + s) * inv2 % p, (1 - s) * inv2 % p}
-        return sorted(roots)
+    """Distinct roots of the minimal polynomial x^2 - t*x + n of omega modulo p,
+    sorted: a scan of {0, 1} for p = 2, else (t +- s)/2 with s^2 = -D, the
+    discriminant."""
     if p == 2:
-        return [1] if d % 2 else [0]  # x^2 + d has the double root d mod 2
-    if d % p == 0:
-        return [0]
-    s = sqrt_mod_prime(-d % p, p)
+        return [r for r in (0, 1) if (r * r - f.t * r + f.n) % 2 == 0]
+    s = sqrt_mod_prime(-f.D % p, p)
     if s is None:
         return []
-    return sorted({s, p - s})
+    inv2 = (p + 1) // 2
+    return sorted({(f.t + s) * inv2 % p, (f.t - s) * inv2 % p})
 
 
 @lru_cache(maxsize=None)
@@ -408,15 +384,6 @@ def ideal_divisors(f: FieldSpec, ideal: LatticeIdeal) -> list[LatticeIdeal]:
     return divs
 
 
-def is_principal(f: FieldSpec, ideal: LatticeIdeal) -> bool:
-    """True iff the ideal contains an element of norm equal to its norm."""
-    target = ideal.norm
-    for x in enumerate_norm_le(f, ideal, target):
-        if norm(f, x) == target:
-            return True
-    return False
-
-
 # ----------------------------------------------------------------------
 # Lattice-point enumeration inside the norm ellipse
 # ----------------------------------------------------------------------
@@ -436,11 +403,12 @@ def _isqrt(n: np.ndarray) -> np.ndarray:
 
 
 def _k_max(f: FieldSpec, gamma: np.ndarray, bound: int) -> np.ndarray:
-    """k_max per lattice: its rows v = k*gamma inside the norm ellipse have
-    |k| <= k_max; 0 over Q, whose lattices have the one row v = 0."""
+    """k_max per lattice: its rows v = k*gamma inside the norm ellipse, where
+    D*v^2 <= 4*bound, have |k| <= k_max; 0 over Q, whose lattices have the one
+    row v = 0."""
     if f.is_rational:
         return np.zeros_like(gamma)
-    return isqrt((4 * bound if f.half_basis else bound) // f.d) // gamma
+    return isqrt(4 * bound // f.D) // gamma
 
 
 def _hnf_arrays(lattices: Iterable[LatticeIdeal]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -460,9 +428,10 @@ def _rows_norm_le(
     u = u0 + j*alpha[i], 0 <= j < count; rows run by owner, then by v, and
     empty rows are dropped.  The zero element is included when it qualifies.
 
-    Exact for bound below 2^60: d*v^2 <= 4*bound, the array isqrt squares
-    values below 2^31, and each term u^2, u*v and d*v^2 of a norm on a row is
-    at most a few times bound.
+    A row solves 4*N(u + v*omega) = (2u + t*v)^2 + D*v^2 <= 4*bound for u.
+    Exact for bound below 2^60: D*v^2 <= 4*bound, the array isqrt squares
+    values below 2^31, and each term u^2, t*u*v and n*v^2 of a norm on a row
+    is at most a few times bound.
     """
     if bound < 0:
         return (np.zeros(0, dtype=np.int64),) * 4
@@ -474,12 +443,9 @@ def _rows_norm_le(
     v = k * gamma[owner]
     if f.is_rational:
         lo, hi = -bound, bound
-    elif f.half_basis:
-        t_hi = _isqrt(4 * bound - f.d * v * v)  # |2u + v| <= t_hi
-        lo, hi = -((t_hi + v) // 2), (t_hi - v) // 2
     else:
-        hi = _isqrt(bound - f.d * v * v)
-        lo = -hi
+        s = _isqrt(4 * bound - f.D * v * v)  # |2u + t*v| <= s
+        lo, hi = -((s + f.t * v) // 2), (s - f.t * v) // 2
     u0 = lo + (k * beta[owner] - lo) % step  # the row's first u = k*beta mod alpha
     live = u0 <= hi
     return owner[live], v[live], u0[live], ((hi - u0) // step + 1)[live]
@@ -597,13 +563,6 @@ def _relative_norm_histograms(
         yield owner, k, hits
 
 
-def relative_norm_histogram(f: FieldSpec, ideal: LatticeIdeal, bound: int) -> np.ndarray:
-    """counts[k] = number of nonzero elements of the ideal of norm k * N(I) <= bound,
-    in bound // N(I) + 1 cells: the one-ideal case of the blocked pass."""
-    ((_, _, hits),) = _relative_norm_histograms(f, *_hnf_arrays([ideal]), bound)
-    return hits
-
-
 # ----------------------------------------------------------------------
 # Moebius sums over ideals
 # ----------------------------------------------------------------------
@@ -647,7 +606,6 @@ __all__ = [
     "pair_ideal_norm",
     "is_coprime",
     "coprime_box",
-    "residues_mod",
     "reduce_mod",
     "ring_totient",
     "ring_totient_product",
@@ -658,11 +616,9 @@ __all__ = [
     "mobius_ideal",
     "squarefree_ideals",
     "ideal_divisors",
-    "is_principal",
     "enumerate_norm_le",
     "count_and_sum_norms",
     "norm_histogram",
-    "relative_norm_histogram",
     "mobius_norm_coefficients",
     "mobius_reciprocal_partial",
 ]

@@ -280,6 +280,11 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         (["zeta", "--field", "rational", "--tolerance", "inf"], "bad-tolerance"),
         # only zeta reads a tolerance
         (["count", "--field", "d=1", "--cutoffs", "10", "--tolerance", "0.5"], "stray-tolerance"),
+        # profiles past the largest indexable int64 array, refused before numpy sees the size
+        (["count", "--field", "rational", "--cutoffs", "1e19"], "too-large"),
+        (["count", "--field", "1", "--cutoffs", "5e18", "--method", "mobius"], "too-large"),
+        (["depths", "--field", "1", "--cutoffs", "50"], "too-large"),
+        (["poincare", "--field", "rational", "--cutoffs", "1e19", "--s", "2"], "too-large"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text

@@ -18,13 +18,14 @@ from horocount.field import (
     class_number,
     conj,
     ideal_count_coefficients,
+    add,
     kronecker_character,
     make_field,
     mul,
     norm,
     residue_K,
-    ring_arith,
     splitting_type,
+    sub,
     units,
     zeta_K_2,
     zeta_K_2_via_ideal_counts,
@@ -34,15 +35,20 @@ from horocount.ideals import (
     hnf_from_generators,
     ideal_conj,
     ideal_mul,
-    is_principal,
 )
 
 CATALAN = 0.915965594177219015  # Catalan's constant, standard reference value
 
 
 def omega_numeric(f) -> complex:
+    """omega from d alone: (1 + sqrt(-d))/2 when d = 3 mod 4, else sqrt(-d)."""
     root = cmath.sqrt(complex(-f.d))
-    return (1 + root) / 2 if f.half_basis else root
+    return (1 + root) / 2 if f.d % 4 == 3 else root
+
+
+def minpoly_value(f, b: int) -> int:
+    """b^2 - tr(omega)*b + N(omega), the minimal polynomial of omega at b, from d alone."""
+    return b * b - b + (1 + f.d) // 4 if f.d % 4 == 3 else b * b + f.d
 
 
 def embed(f, x: RingElement) -> complex:
@@ -57,13 +63,15 @@ def embed(f, x: RingElement) -> complex:
 
 def test_make_field_constants():
     k1 = make_field(1)
-    assert (k1.D, k1.w, k1.half_basis) == (4, 4, False)
+    assert (k1.D, k1.w, k1.t, k1.n) == (4, 4, 0, 1)
     k3 = make_field(3)
-    assert (k3.D, k3.w, k3.half_basis) == (3, 6, True)
+    assert (k3.D, k3.w, k3.t, k3.n) == (3, 6, 1, 1)
     k5 = make_field(5)
-    assert (k5.D, k5.w, k5.half_basis) == (20, 2, False)
+    assert (k5.D, k5.w, k5.t, k5.n) == (20, 2, 0, 5)
+    k7 = make_field(7)
+    assert (k7.D, k7.w, k7.t, k7.n) == (7, 2, 1, 2)
     q = make_field("rational")
-    assert q.is_rational and q.w == 2 and q.h == 1
+    assert q.is_rational and q.w == 2 and q.h == 1 and (q.t, q.n) == (0, 0)
 
 
 @pytest.mark.parametrize("bad", [0, -7, 4, 12, 18, 50, "nonsense", 2.5])
@@ -158,13 +166,13 @@ def test_units_closed_under_multiplication(K1, K3):
 # ----------------------------------------------------------------------
 
 def test_ring_arith_examples(K1, K3):
-    i2 = ring_arith(K1, "mul", RingElement(0, 1), RingElement(0, 1))
+    i2 = mul(K1, RingElement(0, 1), RingElement(0, 1))
     assert i2 == RingElement(-1, 0)
-    w2 = ring_arith(K3, "mul", RingElement(0, 1), RingElement(0, 1))
+    w2 = mul(K3, RingElement(0, 1), RingElement(0, 1))
     assert w2 == RingElement(-1, 1)  # omega^2 = omega - 1
-    # minimal polynomial oracle: omega^2 - omega + m = 0 numerically
+    # minimal polynomial oracle: omega^2 - omega + 1 = 0 numerically
     w = omega_numeric(K3)
-    assert abs(w * w - w + K3.half_m) < 1e-12
+    assert abs(w * w - w + 1) < 1e-12
 
 
 def test_add_identity_and_embedding(Q, K1, K3):
@@ -175,9 +183,13 @@ def test_add_identity_and_embedding(Q, K1, K3):
             b = 0 if f.is_rational else rng.randint(-9, 9)
             x = RingElement(rng.randint(-9, 9), b)
             y = RingElement(rng.randint(-9, 9), 0 if f.is_rational else rng.randint(-9, 9))
-            assert ring_arith(f, "add", x, zero) == x
-            for op, pyop in (("add", complex.__add__), ("sub", complex.__sub__), ("mul", complex.__mul__)):
-                got = embed(f, ring_arith(f, op, x, y))
+            assert add(x, zero) == x
+            for op, pyop in (
+                (add, complex.__add__),
+                (sub, complex.__sub__),
+                (lambda x, y: mul(f, x, y), complex.__mul__),
+            ):
+                got = embed(f, op(x, y))
                 want = pyop(embed(f, x), embed(f, y))
                 assert abs(got - want) < 1e-9
 
@@ -307,11 +319,7 @@ def count_ideals_brute(f, n: int) -> int:
         if n % (g * g) == 0:
             a = n // (g * g)
             for b in range(a):
-                if f.half_basis:
-                    val = b * b - b + f.half_m
-                else:
-                    val = b * b + f.d
-                if val % a == 0:
+                if minpoly_value(f, b) % a == 0:
                     total += 1
         g += 1
     return total
@@ -349,6 +357,12 @@ def test_ideal_counts_multiplicative(K3):
 # Class number
 # ----------------------------------------------------------------------
 
+def is_principal(f, ideal) -> bool:
+    """Oracle: the ideal contains an element of norm equal to its norm."""
+    target = ideal.norm
+    return any(norm(f, x) == target for x in enumerate_norm_le(f, ideal, target))
+
+
 def class_number_minkowski(f) -> int:
     """Oracle: every ideal class contains an ideal of norm <= (2/pi)sqrt(D);
     enumerate those ideals and merge classes via I ~ J iff I*conj(J) is
@@ -361,8 +375,7 @@ def class_number_minkowski(f) -> int:
             if n % (g * g) == 0:
                 a = n // (g * g)
                 for b in range(a):
-                    val = (b * b - b + f.half_m) if f.half_basis else (b * b + f.d)
-                    if val % a == 0:
+                    if minpoly_value(f, b) % a == 0:
                         # the primitive ideal is (a, omega - b), scaled by g
                         gen1 = RingElement(g * a, 0)
                         gen2 = RingElement(-g * b, g)

@@ -42,9 +42,7 @@ from horocount.ideals import (
     prime_ideals_above,
     principal_ideal,
     reduce_mod,
-    relative_norm_histogram,
     squarefree_ideals,
-    residues_mod,
     ring_totient,
     ring_totient_product,
     unit_ideal,
@@ -64,11 +62,11 @@ def rand_elem(rng, lo=-20, hi=20, nonzero=False):
 
 def test_hnf_examples(K1):
     two = hnf_from_generators(K1, [RingElement(2, 0)])
-    assert two.entries == ((2, 0), (0, 2)) and two.norm == 4
+    assert (two.alpha, two.beta, two.gamma) == (2, 0, 2) and two.norm == 4
     onepi = hnf_from_generators(K1, [RingElement(1, 1)])
     assert onepi.norm == 2
     one = hnf_from_generators(K1, [RingElement(1, 0)])
-    assert one.entries == ((1, 0), (0, 1)) and one.norm == 1
+    assert (one.alpha, one.beta, one.gamma) == (1, 0, 1) and one.norm == 1
 
 
 def test_hnf_zero_generators(K1, Q):
@@ -170,12 +168,18 @@ def test_pair_norm_matches_hnf(K1, K3, K5):
 # Residues
 # ----------------------------------------------------------------------
 
+def box_residues(f, q):
+    """The residues x + y*omega of the box coprime_box covers, row-major."""
+    rows, cols = coprime_box(f, q).shape
+    return [RingElement(x, y) for y in range(rows) for x in range(cols)]
+
+
 def test_residues_examples(K1, Q):
-    r = residues_mod(K1, RingElement(1, 1))
+    r = box_residues(K1, RingElement(1, 1))
     assert [(x.a, x.b) for x in r] == [(0, 0), (1, 0)]
-    r2 = residues_mod(K1, RingElement(2, 0))
+    r2 = box_residues(K1, RingElement(2, 0))
     assert {(x.a, x.b) for x in r2} == {(0, 0), (1, 0), (0, 1), (1, 1)}
-    assert [x.a for x in residues_mod(Q, RingElement(3, 0))] == [0, 1, 2]
+    assert [x.a for x in box_residues(Q, RingElement(3, 0))] == [0, 1, 2]
 
 
 def test_residues_count_and_incongruence(K1, K3):
@@ -183,7 +187,7 @@ def test_residues_count_and_incongruence(K1, K3):
     for f in (K1, K3):
         for _ in range(25):
             q = rand_elem(rng, -7, 7, nonzero=True)
-            res = residues_mod(f, q)
+            res = box_residues(f, q)
             assert len(res) == norm(f, q)
             lattice = principal_ideal(f, q)
             for i in range(len(res)):
@@ -297,6 +301,11 @@ def test_mobius_summatory_over_divisors():
             assert total == (1 if ideal.is_unit_ideal else 0), (d, q)
 
 
+def minpoly_value(f, b: int) -> int:
+    """The minimal polynomial of omega at b, from d alone (see test_field)."""
+    return b * b - b + (1 + f.d) // 4 if f.d % 4 == 3 else b * b + f.d
+
+
 def brute_ideals_of_norm(f, n):
     """Independent enumeration of the ideals of norm n (see test_field)."""
     out = []
@@ -305,8 +314,7 @@ def brute_ideals_of_norm(f, n):
         if n % (g * g) == 0:
             a = n // (g * g)
             for b in range(a):
-                val = (b * b - b + f.half_m) if f.half_basis else (b * b + f.d)
-                if val % a == 0:
+                if minpoly_value(f, b) % a == 0:
                     ideal = hnf_from_generators(
                         f, [RingElement(g * a, 0), RingElement(-g * b, g)]
                     )
@@ -410,6 +418,8 @@ def test_count_and_sum_matches_enumeration(K1, K3, Q):
 
 @pytest.mark.parametrize("d", ["rational", 1, 2, 3, 5, 7])
 def test_norm_histogram_matches_enumeration(d):
+    from horocount.ideals import _hnf_arrays, _relative_norm_histograms
+
     f = make_field(d)
     (_, prime), *_ = prime_ideals_above(f, 3)
     for lattice in (unit_ideal(f), prime):
@@ -418,7 +428,10 @@ def test_norm_histogram_matches_enumeration(d):
             want = Counter(norm(f, x) for x in enumerate_norm_le(f, lattice, bound))
             assert len(hist) == bound + 1
             assert {n: int(c) for n, c in enumerate(hist) if c} == want
-            assert (relative_norm_histogram(f, lattice, bound) == hist[:: lattice.norm]).all()
+            # the one-ideal case of the blocked pass of the Moebius kernel
+            alpha, beta, gamma = _hnf_arrays([lattice])
+            ((_, _, relative),) = _relative_norm_histograms(f, alpha, beta, gamma, bound)
+            assert (relative == hist[:: lattice.norm]).all()
 
 
 def test_row_partition_independence(K1):
