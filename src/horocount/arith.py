@@ -155,8 +155,6 @@ def sqrt_mod_prime(a: int, p: int) -> int | None:
 
 __all__ = [
     "xgcd",
-    "gcd",
-    "isqrt",
     "is_squarefree",
     "smallest_prime_factors",
     "factorize",

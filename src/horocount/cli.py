@@ -242,7 +242,13 @@ def _cmd_poincare(config: RunConfig) -> tuple[list[dict], dict]:
 # ----------------------------------------------------------------------
 
 def _verify_checks(f: FieldSpec, bound: int):
-    """Yield (name, passed, detail) for each property check."""
+    """Yield (name, passed, detail) for each property check.
+
+    The largest phi profile, the one of series-ordering, is sized first, so
+    a bound past what can be indexed is refused before any check runs.
+    """
+    cuts = [max(4, bound // 4), max(8, bound // 2), max(16, bound)]
+    counting._profile_bound(cuts[-1])
     x_small = min(bound, 300)
     methods = list(counting._field_methods(f))
     profiles = [counting.phi_profile(f, x_small, method=m) for m in methods]
@@ -315,7 +321,6 @@ def _verify_checks(f: FieldSpec, bound: int):
         f"{len(report.overlaps)} overlaps",
     )
 
-    cuts = [max(4, bound // 4), max(8, bound // 2), max(16, bound)]
     ordering_ok = True
     for partials in (geodesics.relative_poincare_partials, geodesics.parabolic_poincare_partials):
         vals_lo = [ps.value for ps in partials(f, 1.2, cuts)]

@@ -156,6 +156,18 @@ def resolve_method(f: FieldSpec, method: str = "auto") -> str:
     return method
 
 
+def _profile_bound(x: float) -> int:
+    """floor(x), the last index of a phi profile up to x; an x whose
+    floor(x) + 1 int64 cells could not be indexed raises OverflowError."""
+    bound = int(x)
+    if bound + 1 > sys.maxsize // 8:  # the int64 array would pass ssize_t bytes
+        raise OverflowError(
+            f"phi up to x={x:g} needs {bound + 1} cells, past the largest array "
+            "this machine can index"
+        )
+    return bound
+
+
 def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
     """[phi(0), phi(1), ..., phi(floor(x))] computed in one pass.
 
@@ -163,12 +175,7 @@ def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
     OverflowError before anything is allocated.
     """
     method = resolve_method(f, method)
-    bound = int(x)
-    if bound + 1 > sys.maxsize // 8:  # the int64 array would pass ssize_t bytes
-        raise OverflowError(
-            f"phi up to x={x:g} needs {bound + 1} cells, past the largest array "
-            "this machine can index"
-        )
+    bound = _profile_bound(x)
     if bound < 1:
         return [0] * (bound + 1)
     if method == "brute":

@@ -8,6 +8,11 @@ index of the lattice in O.
 
 Over Q the ring has rank 1; the ideal (n) is stored as [[|n|, 0], [0, 1]]
 with the omega row unused, which keeps every formula below valid.
+
+A prime ideal is its lattice too: (p) for a rational prime p that stays
+inert, and over Q; otherwise (p, omega - r) for each root r of the minimal
+polynomial of omega mod p.  Every prime P of an imaginary quadratic field
+has P * conj(P) = (N(P)), which is how an ideal is divided by P.
 """
 
 from __future__ import annotations
@@ -28,7 +33,6 @@ from .field import (
     mul,
     norm,
     omega_times,
-    splitting_type,
 )
 
 
@@ -155,22 +159,20 @@ def _pair_minors(f: FieldSpec, p: RingElement, q: RingElement) -> tuple:
 
     The generators of (p, q) as a Z-lattice are p, p*omega, q, q*omega, and the
     index of a full-rank sublattice of Z^2 equals the gcd of all 2x2 minors.
-    Four of the six are kept: N(p) = det(p, p*omega), N(q), det(p, q) and
-    det(p, q*omega).  The other two are integer combinations of those, since
-    det(Mx, y) + det(x, My) = tr(M) * det(x, y) for multiplication by omega:
-    det(p*omega, q) = t*det(p, q) - det(p, q*omega), and det(p*omega, q*omega)
-    = n*det(p, q).  Over Q the lattice has rank 1 and the generators p, q are
-    their own minors.
+    Three of the six are kept: N(p) = det(p, p*omega), N(q) and det(p, q).
+    Two others are integer combinations of det(p, q) and A = det(p, q*omega),
+    since det(Mx, y) + det(x, My) = tr(M) * det(x, y) for multiplication by
+    omega: det(p*omega, q) = t*det(p, q) - A, and det(p*omega, q*omega) =
+    n*det(p, q).  A itself is redundant too: p*conj(q) = A - det(p, q)*omega,
+    so N(p)*N(q) = A^2 - t*A*det(p, q) + n*det(p, q)^2.  If a prime l divided
+    G = gcd(N(p), N(q), det(p, q)) k times and A only j < k times, the right
+    side would have l-valuation exactly 2j (the other two terms have at least
+    j + k and 2k) and the left at least 2k; so G | A.  Over Q the lattice has
+    rank 1 and the generators p, q are their own minors.
     """
     if f.is_rational:
         return p.a, q.a
-    qw = omega_times(f, q)
-    return (
-        norm(f, p),
-        norm(f, q),
-        p.a * q.b - q.a * p.b,
-        p.a * qw.b - qw.a * p.b,
-    )
+    return norm(f, p), norm(f, q), p.a * q.b - q.a * p.b
 
 
 def pair_ideal_norm(f: FieldSpec, p: RingElement, q: RingElement) -> int:
@@ -214,36 +216,19 @@ def ring_totient(f: FieldSpec, q: RingElement) -> int:
 
 
 def ring_totient_product(f: FieldSpec, q: RingElement) -> int:
-    """The same count via N(q) * prod_{P | (q)} (1 - 1/N(P)); exact integers."""
+    """The same count via N(q) * prod_{P | (q)} (1 - 1/N(P)), over the prime
+    lattices of factor_ideal; exact integers."""
     if q.is_zero():
         raise InvalidDenominatorError("denominator must be nonzero")
     total = norm(f, q)
-    for tag, _ in factor_ideal(f, principal_ideal(f, q)):
-        np_ = tag.norm
-        total = total // np_ * (np_ - 1)
+    for prime, _ in factor_ideal(f, principal_ideal(f, q)):
+        total = total // prime.norm * (prime.norm - 1)
     return total
 
 
 # ----------------------------------------------------------------------
 # Prime ideals and factorization
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PrimeIdealTag:
-    """A prime ideal, named by its rational prime and splitting type.
-
-    'split-first' is the prime (p, omega - r) for the smaller root r of the
-    minimal polynomial of omega mod p; 'split-second' the other root.
-    Over Q the tag is the rational prime itself ('rational').
-    """
-
-    p: int
-    splitting: str  # split-first | split-second | inert | ramified | rational
-
-    @property
-    def norm(self) -> int:
-        return self.p * self.p if self.splitting == "inert" else self.p
-
 
 def _minpoly_roots_mod_p(f: FieldSpec, p: int) -> list[int]:
     """Distinct roots of the minimal polynomial x^2 - t*x + n of omega modulo p,
@@ -259,78 +244,54 @@ def _minpoly_roots_mod_p(f: FieldSpec, p: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def prime_ideals_above(f: FieldSpec, p: int) -> tuple[tuple[PrimeIdealTag, LatticeIdeal], ...]:
-    """The prime ideals of O above the rational prime p, with their lattices."""
+def prime_ideals_above(f: FieldSpec, p: int) -> tuple[LatticeIdeal, ...]:
+    """The prime ideals of O above the rational prime p, as lattices.
+
+    (p) itself when p is inert, and over Q; otherwise (p, omega - r) for each
+    root r of the minimal polynomial of omega mod p, smaller root first: two
+    roots when p splits, one when it ramifies.
+    """
+    roots = [] if f.is_rational else _minpoly_roots_mod_p(f, p)
+    if not roots:
+        return (principal_ideal(f, RingElement(p, 0)),)
+    primes = tuple(hnf_from_generators(f, [RingElement(p, 0), RingElement(-r, 1)]) for r in roots)
+    assert all(P.norm == p for P in primes) and len(set(primes)) == len(primes)
+    return primes
+
+
+def _quotient_by_prime(f: FieldSpec, ideal: LatticeIdeal, prime: LatticeIdeal) -> LatticeIdeal:
+    """ideal / P, assuming P | ideal: multiply by conj(P), divide by N(P).
+
+    Over Q the lattice has rank 1 and P * conj(P) = (p^2), so the quotient
+    divides the generator by p instead.
+    """
     if f.is_rational:
-        return ((PrimeIdealTag(p, "rational"), LatticeIdeal(f, p, 0, 1)),)
-    s = splitting_type(f, p)
-    if s == "inert":
-        lat = principal_ideal(f, RingElement(p, 0))
-        assert lat.norm == p * p
-        return ((PrimeIdealTag(p, "inert"), lat),)
-    roots = _minpoly_roots_mod_p(f, p)
-
-    def lat_of(r: int) -> LatticeIdeal:
-        # the prime (p, omega - r)
-        return hnf_from_generators(f, [RingElement(p, 0), RingElement(-r, 1)])
-
-    if s == "ramified":
-        (r,) = roots
-        lat = lat_of(r)
-        assert lat.norm == p
-        return ((PrimeIdealTag(p, "ramified"), lat),)
-    r1, r2 = roots
-    lat1 = lat_of(r1)
-    lat2 = lat_of(r2)
-    assert lat1.norm == p and lat2.norm == p and lat1 != lat2
-    return (
-        (PrimeIdealTag(p, "split-first"), lat1),
-        (PrimeIdealTag(p, "split-second"), lat2),
-    )
+        assert ideal.alpha % prime.alpha == 0
+        return LatticeIdeal(f, ideal.alpha // prime.alpha, 0, 1)
+    n = prime.norm
+    product = ideal_mul(f, ideal, ideal_conj(f, prime))
+    assert product.alpha % n == 0 and product.beta % n == 0 and product.gamma % n == 0
+    return LatticeIdeal(f, product.alpha // n, product.beta // n, product.gamma // n)
 
 
-def prime_ideal_lattice(f: FieldSpec, tag: PrimeIdealTag) -> LatticeIdeal:
-    for t, lat in prime_ideals_above(f, tag.p):
-        if t == tag:
-            return lat
-    raise ValueError(f"{tag} is not a prime of {f!r}")
-
-
-def _scale_down(ideal: LatticeIdeal, p: int) -> LatticeIdeal:
-    assert ideal.alpha % p == 0 and ideal.beta % p == 0 and ideal.gamma % p == 0
-    return LatticeIdeal(ideal.field, ideal.alpha // p, ideal.beta // p, ideal.gamma // p)
-
-
-def _quotient_by_prime(
-    f: FieldSpec, ideal: LatticeIdeal, tag: PrimeIdealTag, lat: LatticeIdeal
-) -> LatticeIdeal:
-    """ideal / P, assuming P | ideal: multiply by the conjugate prime, divide by N(P)."""
-    if tag.splitting == "rational":
-        assert ideal.alpha % tag.p == 0
-        return LatticeIdeal(f, ideal.alpha // tag.p, 0, 1)
-    if tag.splitting == "inert":
-        return _scale_down(ideal, tag.p)
-    cofactor = ideal_conj(f, lat)
-    return _scale_down(ideal_mul(f, ideal, cofactor), tag.p)
-
-
-def factor_ideal(f: FieldSpec, ideal: LatticeIdeal) -> list[tuple[PrimeIdealTag, int]]:
-    """Prime-ideal factorization, multiplicities by repeated exact divisibility."""
+def factor_ideal(f: FieldSpec, ideal: LatticeIdeal) -> list[tuple[LatticeIdeal, int]]:
+    """Prime-ideal factorization as (P, e) pairs, the primes of
+    prime_ideals_above; multiplicities by repeated exact divisibility."""
     if ideal.norm < 1:
         raise ZeroIdealError("cannot factor the zero ideal")
-    out: list[tuple[PrimeIdealTag, int]] = []
+    out: list[tuple[LatticeIdeal, int]] = []
     remaining = ideal
     for p, e_norm in factorize(ideal.norm):
-        e_seen = 0
-        for tag, lat in prime_ideals_above(f, p):
+        norm_above = 1
+        for prime in prime_ideals_above(f, p):
             e = 0
-            while ideal_contains_ideal(lat, remaining):
-                remaining = _quotient_by_prime(f, remaining, tag, lat)
+            while ideal_contains_ideal(prime, remaining):
+                remaining = _quotient_by_prime(f, remaining, prime)
                 e += 1
             if e:
-                out.append((tag, e))
-            e_seen += e * (2 if tag.splitting == "inert" else 1)
-        assert e_seen == e_norm, f"valuations above {p} do not add up for {ideal}"
+                out.append((prime, e))
+            norm_above *= prime.norm**e
+        assert norm_above == p**e_norm, f"valuations above {p} do not add up for {ideal}"
     assert remaining.is_unit_ideal
     return out
 
@@ -356,7 +317,7 @@ def squarefree_ideals(f: FieldSpec, bound: int) -> Iterator[tuple[int, LatticeId
     if bound < 1:
         return
     primes = sorted(
-        (lat for p in primes_up_to(bound) for _, lat in prime_ideals_above(f, p)
+        (lat for p in primes_up_to(bound) for lat in prime_ideals_above(f, p)
          if lat.norm <= bound),
         key=lambda lat: lat.norm,
     )
@@ -371,16 +332,14 @@ def squarefree_ideals(f: FieldSpec, bound: int) -> Iterator[tuple[int, LatticeId
 
 
 def ideal_divisors(f: FieldSpec, ideal: LatticeIdeal) -> list[LatticeIdeal]:
-    """All ideals dividing the given one (products over its prime support)."""
+    """All ideals dividing the given one: the products P1^i1 * ... * Pk^ik with
+    0 <= ij <= ej over the (Pj, ej) of factor_ideal."""
     divs = [unit_ideal(f)]
-    for tag, e in factor_ideal(f, ideal):
-        lat = prime_ideal_lattice(f, tag)
-        extended = list(divs)
-        power = unit_ideal(f)
+    for prime, e in factor_ideal(f, ideal):
+        levels = [divs]  # the divisors found so far, times P^0, ..., P^e
         for _ in range(e):
-            power = ideal_mul(f, power, lat)
-            extended.extend(ideal_mul(f, d, power) for d in divs)
-        divs = extended
+            levels.append([ideal_mul(f, d, prime) for d in levels[-1]])
+        divs = [d for level in levels for d in level]
     return divs
 
 
@@ -609,9 +568,7 @@ __all__ = [
     "reduce_mod",
     "ring_totient",
     "ring_totient_product",
-    "PrimeIdealTag",
     "prime_ideals_above",
-    "prime_ideal_lattice",
     "factor_ideal",
     "mobius_ideal",
     "squarefree_ideals",

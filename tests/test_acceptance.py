@@ -133,7 +133,7 @@ def test_criterion_06_lemma_S():
     x = 10_000
     res = residue_K(K1)
     checks = []
-    for lattice in (unit_ideal(K1), prime_ideals_above(K1, 2)[0][1]):
+    for lattice in (unit_ideal(K1), prime_ideals_above(K1, 2)[0]):
         s_val = S_count(K1, lattice, x)
         scaled = s_val * class_number(K1) * lattice.norm / (res * x)
         checks.append((lattice.norm, scaled, 0.95 <= scaled <= 1.05))

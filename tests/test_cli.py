@@ -285,6 +285,8 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         (["count", "--field", "1", "--cutoffs", "5e18", "--method", "mobius"], "too-large"),
         (["depths", "--field", "1", "--cutoffs", "50"], "too-large"),
         (["poincare", "--field", "rational", "--cutoffs", "1e19", "--s", "2"], "too-large"),
+        # refused before the first check prints a PASS line
+        (["verify", "--field", "1", "--cutoffs", "1e19"], "too-large"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text

@@ -209,7 +209,7 @@ def test_block_boundaries_change_nothing(d, monkeypatch):
     from horocount import ideals
 
     f = make_field(d)
-    prime = prime_ideals_above(f, 3)[0][1]
+    prime = prime_ideals_above(f, 3)[0]
 
     def outputs():
         return (
@@ -292,7 +292,7 @@ def test_fubini_identity(K1, K3):
 
 def test_S_in_sublattice(K1):
     # S for the ramified prime above 2: principal ideals (q) with (1+i) | q
-    p2 = prime_ideals_above(K1, 2)[0][1]
+    p2 = prime_ideals_above(K1, 2)[0]
     assert S_count(K1, p2, 2) == 1  # just (1+i)
     assert S_count(K1, p2, 4) == 2  # (1+i) and (2)
 

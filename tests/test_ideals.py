@@ -5,12 +5,13 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horocount.arith import is_squarefree
+from horocount.arith import is_squarefree, primes_up_to
 from horocount.field import (
     RingElement,
     make_field,
@@ -29,6 +30,7 @@ from horocount.ideals import (
     enumerate_norm_le,
     factor_ideal,
     hnf_from_generators,
+    ideal_conj,
     ideal_contains_ideal,
     ideal_divisors,
     ideal_mul,
@@ -38,7 +40,6 @@ from horocount.ideals import (
     mobius_reciprocal_partial,
     norm_histogram,
     pair_ideal_norm,
-    prime_ideal_lattice,
     prime_ideals_above,
     principal_ideal,
     reduce_mod,
@@ -250,12 +251,17 @@ def test_ring_totient_zero_denominator(Q):
 
 def test_factor_examples(K1):
     fac2 = factor_ideal(K1, principal_ideal(K1, RingElement(2, 0)))
-    assert len(fac2) == 1 and fac2[0][0].splitting == "ramified" and fac2[0][1] == 2
+    # ramified: (2) = P^2 with P = (1 + i) of norm 2
+    assert len(fac2) == 1 and fac2[0][0].norm == 2 and fac2[0][1] == 2
+    assert fac2[0][0] == principal_ideal(K1, RingElement(1, 1))
     fac5 = factor_ideal(K1, principal_ideal(K1, RingElement(5, 0)))
-    assert sorted(t.splitting for t, _ in fac5) == ["split-first", "split-second"]
+    # split: two conjugate primes of norm 5
+    assert [P.norm for P, _ in fac5] == [5, 5]
+    assert fac5[0][0] != fac5[1][0] and fac5[1][0] == ideal_conj(K1, fac5[0][0])
     assert all(e == 1 for _, e in fac5)
     fac3 = factor_ideal(K1, principal_ideal(K1, RingElement(3, 0)))
-    assert fac3[0][0].splitting == "inert" and fac3[0][1] == 1
+    # inert: (3) itself is prime
+    assert fac3[0][0] == principal_ideal(K1, RingElement(3, 0)) and fac3[0][1] == 1
     assert fac3[0][0].norm == 9
 
 
@@ -267,11 +273,10 @@ def test_factorization_reconstructs_ideal(K1, K3, K5):
             ideal = principal_ideal(f, q)
             product = unit_ideal(f)
             norm_prod = 1
-            for tag, e in factor_ideal(f, ideal):
-                lat = prime_ideal_lattice(f, tag)
+            for prime, e in factor_ideal(f, ideal):
                 for _ in range(e):
-                    product = ideal_mul(f, product, lat)
-                norm_prod *= tag.norm**e
+                    product = ideal_mul(f, product, prime)
+                norm_prod *= prime.norm**e
             assert product == ideal
             assert norm_prod == ideal.norm
 
@@ -280,7 +285,7 @@ def test_split_primes_multiply_to_p(K1, K3, K5):
     for f, p in ((K1, 5), (K1, 13), (K3, 7), (K5, 3), (K5, 7)):
         above = prime_ideals_above(f, p)
         assert len(above) == 2
-        prod = ideal_mul(f, above[0][1], above[1][1])
+        prod = ideal_mul(f, above[0], above[1])
         assert prod == principal_ideal(f, RingElement(p, 0))
 
 
@@ -299,6 +304,25 @@ def test_mobius_summatory_over_divisors():
             ideal = principal_ideal(f, q)
             total = sum(mobius_ideal(f, div) for div in ideal_divisors(f, ideal))
             assert total == (1 if ideal.is_unit_ideal else 0), (d, q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.sampled_from(["rational", 1, 2, 3, 5, 6, 23]), data=st.data())
+def test_factoring_undoes_multiplying(d, data):
+    """A product of primes above p <= 50 factors back into the same multiset,
+    and mu of it is (-1)^k for k distinct primes, 0 once one repeats."""
+    f = make_field(d)
+    above = {p: prime_ideals_above(f, p) for p in primes_up_to(50)}
+    pool = [P for primes in above.values() for P in primes]
+    if not f.is_rational:  # split (two primes), ramified (one of norm p), inert (one of norm p^2)
+        kinds = {(len(primes), primes[0].norm == p) for p, primes in above.items()}
+        assert kinds == {(2, True), (1, True), (1, False)}
+    picks = data.draw(st.lists(st.sampled_from(pool), max_size=6))
+    ideal = reduce(lambda acc, P: ideal_mul(f, acc, P), picks, unit_ideal(f))
+    want = Counter(picks)
+    assert Counter(dict(factor_ideal(f, ideal))) == want
+    squarefree = all(e == 1 for e in want.values())
+    assert mobius_ideal(f, ideal) == ((-1) ** len(picks) if squarefree else 0)
 
 
 def minpoly_value(f, b: int) -> int:
@@ -421,7 +445,7 @@ def test_norm_histogram_matches_enumeration(d):
     from horocount.ideals import _hnf_arrays, _relative_norm_histograms
 
     f = make_field(d)
-    (_, prime), *_ = prime_ideals_above(f, 3)
+    prime, *_ = prime_ideals_above(f, 3)
     for lattice in (unit_ideal(f), prime):
         for bound in (0, 1, 200):
             hist = norm_histogram(f, lattice, bound)
