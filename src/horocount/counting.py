@@ -3,9 +3,10 @@
 phi(x) counts the classes p/q mod O with (p, q) = 1 and 0 < N(q) <= x.  It
 changes value only at integer cutoffs, so each method is a kernel that
 returns the increments inc[n], the classes with N(q) = n, for every
-n <= floor(x) in one pass.  phi_profile is the one dispatcher: it runs a
-kernel and sums the increments into [phi(0), ..., phi(floor(x))], and phi(x)
-is the last entry.  Where two methods apply they must agree
+n <= floor(x) in one pass.  _increments is the one dispatcher: it runs a
+kernel.  phi_profile sums the increments into [phi(0), ..., phi(floor(x))],
+phi(x) is its last entry, and the relative Poincare series weighs its terms
+by the increments themselves.  Where two methods apply they must agree
 integer-for-integer:
 
 * brute -- for one denominator q per unit orbit, Q included, count the
@@ -168,8 +169,9 @@ def _profile_bound(x: float) -> int:
     return bound
 
 
-def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
-    """[phi(0), phi(1), ..., phi(floor(x))] computed in one pass.
+def _increments(f: FieldSpec, x: float, method: str) -> np.ndarray:
+    """inc[n] for 0 <= n <= floor(x), as int64: the classes with N(q) = n, from
+    the kernel that resolve_method picks for method.
 
     An x whose floor(x) + 1 int64 cells could not be indexed raises
     OverflowError before anything is allocated.
@@ -177,14 +179,21 @@ def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
     method = resolve_method(f, method)
     bound = _profile_bound(x)
     if bound < 1:
-        return [0] * (bound + 1)
+        return np.zeros(max(bound + 1, 0), dtype=np.int64)
     if method == "brute":
-        inc = _brute_increments(f, bound)
-    elif method == "mobius":
-        inc = _mobius_increments(f, bound)
-    else:
-        inc = _multiplicative_fill(f, bound, _totient_prime_power)
-    return np.cumsum(inc).tolist()
+        return _brute_increments(f, bound)
+    if method == "mobius":
+        return _mobius_increments(f, bound)
+    return _multiplicative_fill(f, bound, _totient_prime_power)
+
+
+def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
+    """[phi(0), phi(1), ..., phi(floor(x))] computed in one pass.
+
+    An x whose floor(x) + 1 int64 cells could not be indexed raises
+    OverflowError before anything is allocated.
+    """
+    return np.cumsum(_increments(f, x, method)).tolist()
 
 
 def phi(f: FieldSpec, x: float, method: str = "auto") -> int:

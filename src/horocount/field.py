@@ -14,7 +14,6 @@ b = 0, with t = n = 0.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt
@@ -25,6 +24,8 @@ from .arith import is_squarefree, multiplicative_fill
 
 RATIONAL = "rational"
 IMAGINARY_QUADRATIC = "imaginary_quadratic"
+
+_FIELD_CACHE = 64  # entries of each per-field cache; a run touches a few fields
 
 
 class InvalidFieldError(ValueError):
@@ -166,7 +167,7 @@ def omega_times(f: FieldSpec, x: RingElement) -> RingElement:
     return RingElement(-f.n * x.b, x.a + f.t * x.b)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FIELD_CACHE)
 def units(f: FieldSpec) -> tuple[RingElement, ...]:
     """The w roots of unity of O, in (b, a)-lexicographic order."""
     if f.is_rational:
@@ -242,7 +243,7 @@ def kronecker_character(f: FieldSpec, n: int) -> int:
     return _kronecker(-f.D, n)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FIELD_CACHE)
 def _character_table(f: FieldSpec) -> tuple[tuple[int, ...], int]:
     """(chi values on 0..D-1, max |partial sum| over a period).
 
@@ -266,18 +267,46 @@ def _character_table(f: FieldSpec) -> tuple[tuple[int, ...], int]:
 # ----------------------------------------------------------------------
 
 _ZETA2 = math.pi * math.pi / 6.0
+_SUM_BLOCK = 1 << 16  # terms of the character series built at once
+# A work budget, about 20 s of blocks on one CPU.  2^30 terms certify tol =
+# 4*M*zeta(2)/2^60, under 6e-16 (a few float64 spacings near zeta_K(2))
+# while M < 100, so it refuses no tolerance float64 could honour there.
+_MAX_TERMS = 1 << 30
 
 
-@lru_cache(maxsize=None)
+def _character_sum(chi: np.ndarray, D: int, lo: int, hi: int) -> float:
+    """sum of chi(k)/k^2 over lo <= k < hi, bit for bit the np.sum of the one
+    float64 array of those terms, built one block of _SUM_BLOCK terms at a time.
+
+    numpy sums a contiguous float64 array pairwise: a run longer than its
+    128-term base case splits at half = len // 2 rounded down to a multiple
+    of 8, and the two halves' sums are added.  Splitting at the same points
+    and handing each range of at most _SUM_BLOCK terms to np.sum rebuilds
+    the same tree of additions.
+    """
+    size = hi - lo
+    if size > _SUM_BLOCK:
+        half = size // 2
+        half -= half % 8
+        return _character_sum(chi, D, lo, lo + half) + _character_sum(chi, D, lo + half, hi)
+    k = np.arange(lo, hi, dtype=np.int64)
+    return float(np.sum(chi[k % D] / (k.astype(np.float64) ** 2)))
+
+
+@lru_cache(maxsize=_FIELD_CACHE)
 def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
     """zeta_K(2) = zeta(2) * L(2, chi_{-D}) within tol.
 
     The L-series is truncated at N terms with the Abel bound
     |tail| <= 2*M/(N+1)^2, M the maximal character partial sum, so the
     returned value is certified to tol (floating point summation error is
-    orders of magnitude below the bound at the N involved).  A tol so small
-    that the N-term array could not be indexed raises OverflowError before
-    anything is allocated.
+    orders of magnitude below the bound at the N involved).  A tol that needs
+    more than 2^30 terms raises OverflowError before any work is done.
+
+    Working memory is one block of 2^16 terms (a few arrays of 512 kB),
+    whatever N is: _character_sum splits the N terms where numpy's pairwise
+    summation splits the one N-term array, so the value is that array's
+    np.sum to the last bit.
     """
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol!r}")
@@ -286,16 +315,14 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
     tab, m = _character_table(f)
     # the term count in floats first: 4*M*zeta(2)/tol is inf for tol below about 1e-308
     approx_terms = math.sqrt(4 * m * _ZETA2) / math.sqrt(tol)
-    if approx_terms > sys.maxsize // 8:  # the int64 array of n would pass ssize_t bytes
+    if approx_terms > _MAX_TERMS:
         raise OverflowError(
-            f"zeta_K(2) to tol={tol:g} needs {approx_terms:.3g} terms, past the largest "
-            "array this machine can index"
+            f"zeta_K(2) to tol={tol:g} needs {approx_terms:.3g} terms, more than the "
+            f"{_MAX_TERMS:,} one call sums"
         )
     n_terms = isqrt(int(4 * m * _ZETA2 / tol)) + 1
-    n = np.arange(1, n_terms + 1, dtype=np.int64)
-    chi = np.asarray(tab, dtype=np.float64)[n % f.D]
-    l_value = float(np.sum(chi / (n.astype(np.float64) ** 2)))
-    return _ZETA2 * l_value
+    chi = np.asarray(tab, dtype=np.float64)
+    return _ZETA2 * _character_sum(chi, f.D, 1, n_terms + 1)
 
 
 def splitting_type(f: FieldSpec, p: int) -> str:
@@ -355,7 +382,9 @@ def zeta_K_2_via_ideal_counts(f: FieldSpec, n_max: int = 200_000) -> float:
     partial sum carries an O(n_max^(-5/3)) error; at the default n_max that
     is comfortably below 1e-8.
     """
-    a = np.asarray(ideal_count_coefficients(f, n_max), dtype=np.float64)
+    if n_max < 1:
+        raise ValueError("n_max must be >= 1")
+    a = _multiplicative_fill(f, n_max, _prime_power_ideal_count).astype(np.float64)
     n = np.arange(n_max + 1, dtype=np.float64)
     n[0] = 1.0  # avoid 0/0; a[0] = 0
     partial = float(np.sum(a / (n * n)))

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .counting import phi, phi_profile, resolve_method, unit_orbit_reps
+from .counting import _increments, phi, unit_orbit_reps
 from .field import (
     FieldSpec,
     RingElement,
@@ -350,16 +350,15 @@ def relative_poincare_partials(
 
     Expanded over fractions, e^(-s*depth(q)) is |q|^(-2s): N(q)^(-s) in the
     quadratic case and q^(-2s) over Q.  The weight w[n] (sum of Phi(q) over
-    N(q) = n) comes from one phi profile up to the largest cutoff, by the
-    method resolve_method picks for 'auto'; each sum is a dot product over
-    a prefix of the same arrays.  An s so negative that a term overflows
-    gives a non-finite value (inf, or nan where a zero weight meets an
-    infinite term), without a warning.
+    N(q) = n) is the phi increment at n, from one kernel run up to the
+    largest cutoff by the method resolve_method picks for 'auto'; each sum
+    is a dot product over a prefix of the same arrays.  An s so negative
+    that a term overflows gives a non-finite value (inf, or nan where a zero
+    weight meets an infinite term), without a warning.
     """
     bounds = _series_bounds(cutoffs, square=False)
     top = max(bounds)
-    profile = phi_profile(f, top, resolve_method(f))
-    weights = np.diff(np.asarray(profile, dtype=np.int64), prepend=0).astype(np.float64)
+    weights = _increments(f, top, "auto").astype(np.float64)
     n = np.arange(top + 1, dtype=np.float64)
     n[0] = 1.0
     exponent = 2.0 * s if f.is_rational else s
@@ -380,19 +379,27 @@ def parabolic_poincare_partials(
     half-space distance between height-1 points, d = 2 * arcsinh(|c| / 2).
 
     One norm histogram of O up to the largest cutoff; each sum is a dot
-    product over a prefix of it.  As for the relative series, an s so
-    negative that a term overflows gives a non-finite value, without a
-    warning.
+    product over a prefix of it.  The work is three float64 arrays of
+    top + 1 cells, top the largest norm bound: the histogram, t = |c|/2 and
+    the terms, which are built in place; t is dropped before the power.  As
+    for the relative series, an s so negative that a term overflows gives a
+    non-finite value, without a warning.
     """
     bounds = _series_bounds(cutoffs, square=not f.is_rational)
     top = max(bounds)
     hist = norm_histogram(f, unit_ideal(f), top).astype(np.float64)
-    n = np.arange(top + 1, dtype=np.float64)
-    abs_c = n if f.is_rational else np.sqrt(n)
-    # e^(-2s*arcsinh(t)) = (t + sqrt(1 + t^2))^(-2s) with t = |c|/2
-    t = abs_c / 2.0
+    # e^(-2s*arcsinh(t)) = (t + sqrt(1 + t^2))^(-2s) with t = |c|/2, built in place
+    t = np.arange(top + 1, dtype=np.float64)  # N(c), then |c| (N(c) over Q), then t
+    if not f.is_rational:
+        np.sqrt(t, out=t)
+    t /= 2.0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        terms = (t + np.sqrt(1.0 + t * t)) ** (-2.0 * s)
+        terms = np.multiply(t, t)
+        np.add(1.0, terms, out=terms)
+        np.sqrt(terms, out=terms)
+        np.add(t, terms, out=terms)
+        del t
+        terms **= -2.0 * s
         return [
             SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(hist[1 : b + 1], terms[1 : b + 1])),
                              kind="parabolic")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from horocount.field import make_field
@@ -32,3 +34,19 @@ def small_fields():
 @pytest.fixture(scope="session")
 def zeta_fields():
     return [make_field(d) for d in (1, 2, 3, 5, 7, 11)]
+
+
+def _traced_peak_mb(fn) -> float:
+    """The peak of Python and numpy allocations, in MB, while fn() runs."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="session")
+def traced_peak_mb():
+    return _traced_peak_mb

@@ -136,8 +136,8 @@ def test_poincare_verdicts_present(tmp_path):
 
 
 def test_poincare_builds_each_series_once(tmp_path, monkeypatch):
-    # one phi profile and one lattice histogram at the largest cutoff serve
-    # every smaller cutoff
+    # one run of the phi increments and one lattice histogram at the largest
+    # cutoff serve every smaller cutoff
     calls = []
 
     def spy(name, fn):
@@ -146,7 +146,7 @@ def test_poincare_builds_each_series_once(tmp_path, monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(geodesics, "phi_profile", spy("phi_profile", geodesics.phi_profile))
+    monkeypatch.setattr(geodesics, "_increments", spy("_increments", geodesics._increments))
     monkeypatch.setattr(
         geodesics, "norm_histogram", spy("norm_histogram", geodesics.norm_histogram)
     )
@@ -157,8 +157,8 @@ def test_poincare_builds_each_series_once(tmp_path, monkeypatch):
     assert [(r["kind"], r["x_or_t"]) for r in doc["rows"]] == [
         (kind, c) for c in (10.0, 20.0, 40.0) for kind in ("relative", "parabolic")
     ]
-    assert sorted(name for name, _ in calls) == ["norm_histogram", "phi_profile"]
-    assert dict(calls)["phi_profile"][0] == 40
+    assert sorted(name for name, _ in calls) == ["_increments", "norm_histogram"]
+    assert dict(calls)["_increments"][0] == 40
     assert dict(calls)["norm_histogram"][1] == 1600
 
 
@@ -287,6 +287,8 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         (["poincare", "--field", "rational", "--cutoffs", "1e19", "--s", "2"], "too-large"),
         # refused before the first check prints a PASS line
         (["verify", "--field", "1", "--cutoffs", "1e19"], "too-large"),
+        # 2.6e10 terms, past the work budget of one series: refused, not summed
+        (["zeta", "--field", "d=1", "--tolerance", "1e-20"], "too-large"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text

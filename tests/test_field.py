@@ -8,13 +8,16 @@ import math
 import random
 import threading
 
+import numpy as np
 import pytest
 
 from horocount.arith import is_squarefree, primes_up_to
 from horocount.field import (
+    _ZETA2,
     InvalidFieldError,
     RingElement,
     UnsupportedFieldError,
+    _character_table,
     class_number,
     conj,
     ideal_count_coefficients,
@@ -303,6 +306,41 @@ def test_zeta_two_pipelines_agree(Q, zeta_fields):
         b = zeta_K_2_via_ideal_counts(f, 200_000)
         assert abs(a - b) <= 1e-8, (f, a, b)
     assert abs(zeta_K_2(Q, 1e-10) - zeta_K_2_via_ideal_counts(Q, 200_000)) <= 1e-8
+
+
+def zeta_one_array(f, tol):
+    """Oracle: the whole character series as one array, summed by one np.sum
+    (zeta_K_2's formula before it summed block by block); (terms, value)."""
+    tab, m = _character_table(f)
+    n_terms = math.isqrt(int(4 * m * _ZETA2 / tol)) + 1
+    n = np.arange(1, n_terms + 1, dtype=np.int64)
+    chi = np.asarray(tab, dtype=np.float64)[n % f.D]
+    return n_terms, _ZETA2 * float(np.sum(chi / (n.astype(np.float64) ** 2)))
+
+
+@pytest.mark.parametrize(
+    "d, tol, n_terms",
+    [
+        (1, 1e-3, 82),  # one block, under numpy's 128-term base case
+        (1, 1e-6, 2566),  # one block, a length that is not a multiple of 8
+        (2, 3.064e-9, 2**16),  # exactly one full block
+        (2, 3.0639e-9, 2**16 + 1),  # the first length that splits
+        (2, 1e-9, 114715),  # two blocks, neither a multiple of 8 long
+        (123, 1e-10, 725520),
+        (107, 1e-10, 769530),  # four levels of halving down to the blocks
+    ],
+)
+def test_zeta_blocks_sum_to_the_one_array_sum(d, tol, n_terms):
+    f = make_field(d)
+    terms, want = zeta_one_array(f, tol)
+    assert terms == n_terms
+    assert zeta_K_2.__wrapped__(f, tol).hex() == want.hex()
+
+
+def test_zeta_working_memory_is_one_block(traced_peak_mb):
+    # the one-array sum of these 769 530 terms peaked near 24 MB
+    K107 = make_field(107)
+    assert traced_peak_mb(lambda: zeta_K_2.__wrapped__(K107, 1e-10)) < 4
 
 
 # ----------------------------------------------------------------------

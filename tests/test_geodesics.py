@@ -7,10 +7,11 @@ import random
 import warnings
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from horocount.counting import phi, unit_orbit_reps
+from horocount.counting import phi, phi_profile, resolve_method, unit_orbit_reps
 from horocount.field import (
     RingElement,
     _canonical_associate,
@@ -39,7 +40,7 @@ from horocount.geodesics import (
     relative_poincare_partial,
     relative_poincare_partials,
 )
-from horocount.ideals import InvalidDenominatorError, is_coprime
+from horocount.ideals import InvalidDenominatorError, is_coprime, norm_histogram, unit_ideal
 
 
 # ----------------------------------------------------------------------
@@ -390,6 +391,60 @@ def test_series_partials_equal_scalar_sums(d):
             sums = plural(f, s, cutoffs)
             assert [ps.cutoff for ps in sums] == cutoffs
             assert sums == [scalar(f, s, c) for c in cutoffs]
+
+
+def relative_one_pass(f, s, cutoffs):
+    """Oracle: the relative partial sums with weights differenced from one
+    phi profile (the formula before the weights came from the increments)."""
+    top = max(cutoffs)
+    profile = phi_profile(f, top, resolve_method(f))
+    weights = np.diff(np.asarray(profile, dtype=np.int64), prepend=0).astype(np.float64)
+    n = np.arange(top + 1, dtype=np.float64)
+    n[0] = 1.0
+    exponent = 2.0 * s if f.is_rational else s
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = n ** (-exponent)
+        return [float(np.dot(weights[: b + 1], terms[: b + 1])) for b in cutoffs]
+
+
+def parabolic_one_pass(f, s, cutoffs):
+    """Oracle: the parabolic partial sums with each step of the terms in a new
+    array (the formula before they were built in place)."""
+    bounds = [c if f.is_rational else c * c for c in cutoffs]
+    top = max(bounds)
+    hist = norm_histogram(f, unit_ideal(f), top).astype(np.float64)
+    n = np.arange(top + 1, dtype=np.float64)
+    abs_c = n if f.is_rational else np.sqrt(n)
+    t = abs_c / 2.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        terms = (t + np.sqrt(1.0 + t * t)) ** (-2.0 * s)
+        return [float(np.dot(hist[1 : b + 1], terms[1 : b + 1])) for b in bounds]
+
+
+@pytest.mark.parametrize("d", ["rational", 1])
+@pytest.mark.parametrize("s", [0.4, 0.5, 1.7, -1000.0])
+def test_series_partials_equal_the_one_pass_formulas(d, s):
+    # bit for bit; s = 0.5 takes numpy's x ** -1 shortcut in both the fresh
+    # and the in-place power; at s = -1000 the terms overflow and the sums stay
+    # non-finite (inf, or nan where a zero weight meets an infinite term)
+    f = make_field(d)
+    cutoffs = [7, 20, 60]
+    for plural, oracle in (
+        (relative_poincare_partials, relative_one_pass),
+        (parabolic_poincare_partials, parabolic_one_pass),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = [ps.value for ps in plural(f, s, cutoffs)]
+        want = oracle(f, s, cutoffs)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+        assert all(math.isfinite(v) for v in got) == (s > 0)
+
+
+def test_parabolic_working_memory_is_three_arrays(K1, traced_peak_mb):
+    # top = 640 000: three float64 arrays of top + 1 cells are 15.4 MB; with
+    # every step in a new array the peak was near 29 MB
+    assert traced_peak_mb(lambda: parabolic_poincare_partials(K1, 1.7, [200, 400, 800])) < 20
 
 
 def test_relative_series_rational_s2(Q):
