@@ -10,8 +10,10 @@ by the increments themselves.  Where two methods apply they must agree
 integer-for-integer:
 
 * brute -- for one denominator q per unit orbit, Q included, count the
-  coprime residues of ideals.coprime_box(f, q); every field.  It is the
-  oracle, so it shares no logic with the other two;
+  coprime residues of ideals.coprime_box(f, q), which reads the gcd of each
+  cell's minors with N(q) from a table of gcd(k, N(q)); every field.  It is
+  the oracle, so it shares no logic with the other two: no primes, no
+  factorization, no sieve;
 * mobius -- phi(x) = sum over squarefree ideals I of mu(I) * T_I(x) / N(I),
   with T_I(x) the norm sum over principal ideals inside I; every field, Q
   included, with the squarefree ideals built as products of distinct primes.

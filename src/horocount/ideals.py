@@ -18,7 +18,7 @@ has P * conj(P) = (N(P)), which is how an ideal is divided by P.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
@@ -125,9 +125,25 @@ def unit_ideal(f: FieldSpec) -> LatticeIdeal:
 
 
 def principal_ideal(f: FieldSpec, q: RingElement) -> LatticeIdeal:
+    """The HNF of (q), in closed form; q = 0 raises InvalidDenominatorError.
+
+    With q = a + b*omega, (q) is spanned as a lattice by q = (a, b) and
+    q*omega = (-n*b, a + t*b).  Its omega coordinates are the multiples of
+    gamma = gcd(b, a + t*b), which is gcd(a, b) since a = (a + t*b) - t*b.
+    Its index alpha*gamma is the determinant a*(a + t*b) + n*b^2 = N(q), so
+    alpha = N(q) / gamma.  With xgcd(b, a + t*b) = (gamma, s, u), the element
+    s*q + u*q*omega = (s*a - u*n*b, gamma) lies in (q) at height gamma, and
+    beta is its first coordinate reduced mod alpha, since (alpha, 0) lies in
+    (q) too.  Over Q the ideal is (|a|), [[|a|, 0], [0, 1]].  The same triple
+    as hnf_from_generators(f, [q]), without its general elimination.
+    """
     if q.is_zero():
         raise InvalidDenominatorError("zero generates the zero ideal")
-    return hnf_from_generators(f, [q])
+    if f.is_rational:
+        return LatticeIdeal(f, abs(q.a), 0, 1)
+    gamma, s, u = xgcd(q.b, q.a + f.t * q.b)
+    alpha = norm(f, q) // gamma
+    return LatticeIdeal(f, alpha, (s * q.a - u * f.n * q.b) % alpha, gamma)
 
 
 def ideal_mul(f: FieldSpec, lhs: LatticeIdeal, rhs: LatticeIdeal) -> LatticeIdeal:
@@ -195,19 +211,50 @@ def reduce_mod(f: FieldSpec, x: RingElement, ideal: LatticeIdeal) -> RingElement
     return RingElement((x.a - k * ideal.beta) % ideal.alpha, y)
 
 
+def _gcd_table(n: int) -> np.ndarray:
+    """t[k] = gcd(k, n) for 0 <= k < n, as int64: each divisor e of n, in
+    ascending order, written into t[::e] (see coprime_box), with the divisors
+    from trial division up to isqrt(n)."""
+    low = [e for e in range(1, isqrt(n) + 1) if n % e == 0]
+    table = np.empty(n, dtype=np.int64)
+    for e in low + [n // e for e in reversed(low) if e * e != n]:
+        table[::e] = e
+    return table
+
+
 def coprime_box(f: FieldSpec, q: RingElement) -> np.ndarray:
     """mask[y, x]: whether x + y*omega is coprime to q, over the residue box
     0 <= x < alpha, 0 <= y < gamma of (q); shape (1, |q|) over Q.  principal_ideal
     raises InvalidDenominatorError for q = 0.
 
     pair_ideal_norm on the whole box at once, with int64 arrays for the
-    coordinates of p.  The largest minor, N(p), is below (d + 2) * N(q)^2 on
-    the box, so int64 is exact for N(q) below 3 * 10^9 / sqrt(d + 2).
+    coordinates of p, and a gcd table in place of Euclid per cell.  N = N(q)
+    is one of the minors, so N((p, q)), the gcd of the minors, is the gcd of
+    the gcd(minor, N), which t = _gcd_table(N) holds at minor mod N:
+    t[k] = gcd(k, N) because each divisor of N is written into t[::e] in
+    ascending order, so the largest divisor of N that divides k is written
+    last.  The minor N(q) itself is skipped, since t[0] = N adds nothing.
+    Over Q a cell is coprime iff t[x] == 1; otherwise iff
+    gcd(t[N(p) mod N], t[det(p, q) mod N]) == 1, a short gcd of two divisors
+    of N.  The table holds N cells, as many as the box.
+
+    This is the brute oracle of counting, and it shares no logic with the
+    Moebius route or the sieve: it reads the minors of _pair_minors and a
+    table whose divisors come from trial division, never a prime, a prime
+    ideal, a factorization, a Moebius value or a multiplicative fill.  The
+    largest minor, N(p), is below (d + 2) * N(q)^2 on the box, so int64 is
+    exact for N(q) below 3 * 10^9 / sqrt(d + 2).
     """
     ideal = principal_ideal(f, q)
+    n = ideal.norm
     r = np.arange(ideal.alpha, dtype=np.int64)  # gamma divides alpha in an ideal's HNF
     p = RingElement(r[None, :], r[: ideal.gamma, None])
-    return reduce(np.gcd, _pair_minors(f, p, q)) == 1
+    table = _gcd_table(n)
+    first, _, *rest = _pair_minors(f, p, q)  # the second, N(q), has t[0] = N
+    common = table[first % n]
+    for minor in rest:
+        common = np.gcd(common, table[minor % n])
+    return common == 1
 
 
 def ring_totient(f: FieldSpec, q: RingElement) -> int:

@@ -1,6 +1,7 @@
 """CLI surface: schema-valid output, determinism, machine-parsable errors,
 and the verify command's exit contract."""
 
+import contextlib
 import copy
 import csv
 import hashlib
@@ -12,6 +13,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from horocount import geodesics
 from horocount.cli import main
@@ -302,6 +304,68 @@ def test_bad_inputs_get_typed_codes(tmp_path, capsys, argv, code):
     if "--tolerance" in argv:  # a refused tolerance is named in the message
         tol = float(argv[argv.index("--tolerance") + 1])
         assert f"tol={tol:g} " in err
+
+
+# valid fields, with and without the d= prefix, and invalid ones
+FUZZ_FIELDS = ["rational", "1", "d=2", "3", "d=5", "23"]
+FUZZ_BAD_FIELDS = ["0", "4", "-3", "x", str(10**30)]
+FUZZ_SPECIALS = ["-1", "nan", "inf", ""]
+# small tops keep each run in milliseconds; depths reads t, so N(q) <= e^8
+FUZZ_TOPS = {"count": 200, "poincare": 200, "horoballs": 10, "depths": 8}
+
+
+def _fuzz_cutoffs(command):
+    top = FUZZ_TOPS.get(command, 200)
+    token = st.one_of(
+        st.integers(-2, top).map(str),
+        st.floats(-2, top).map(repr),
+        st.sampled_from(FUZZ_SPECIALS),
+    )
+    increasing = st.lists(st.integers(0, top), min_size=1, max_size=3, unique=True)
+    return st.one_of(
+        st.none(),
+        increasing.map(lambda xs: ",".join(map(str, sorted(xs)))),
+        st.lists(token, max_size=3).map(",".join),
+    )
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(["count", "depths", "zeta", "classnum", "horoballs", "poincare"]))
+    field = draw(st.one_of(st.sampled_from(FUZZ_FIELDS), st.sampled_from(FUZZ_BAD_FIELDS)))
+    argv = [command, "--field", field]
+    cutoffs = draw(_fuzz_cutoffs(command))
+    if cutoffs is not None:
+        argv += ["--cutoffs", cutoffs]
+    method = draw(st.one_of(st.none(), st.sampled_from(["brute", "mobius", "both", "bogus"])))
+    if method is not None:
+        argv += ["--method", method]
+    s_values = st.one_of(st.floats(-3, 3).map(repr), st.sampled_from(["nan", "inf", "-1000", "x", ""]))
+    s = draw(st.one_of(st.none(), s_values))  # also missing-s and stray-s
+    if s is not None:
+        argv += ["--s", s]
+    return argv
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=_fuzz_argv())
+def test_cli_fuzz_exits_0_or_one_typed_error(argv):
+    """Any argv of the six data commands ends in exit 0 with one strict JSON
+    document and no stderr, or exit 2 with one horocount-error line: never a
+    traceback, and never a warning (raised here as an error)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv + ["--output", "-"])
+    if code == 0:
+        assert err.getvalue() == ""
+        json.loads(out.getvalue(), parse_constant=lambda c: pytest.fail(f"non-JSON {c}"))
+    else:
+        assert code == 2, (argv, code)
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines(keepends=True)
+        assert len(lines) == 1 and lines[0].startswith("horocount-error code="), (argv, lines)
+        assert lines[0].endswith("\n")
 
 
 def test_horoballs_past_the_ceiling_refused_at_once(tmp_path, capsys):

@@ -10,6 +10,7 @@ denominator/totient pipeline at once.
 
 import math
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,43 @@ def test_mobius_equals_brute_every_class_number(d):
     else:
         with pytest.raises(UnsupportedFieldError):
             phi_profile(f, 400, method="sieve")
+
+
+# the prime, factorization, sieve and fill helpers of the other two routes
+FAST_PATH_HELPERS = (
+    "factor_ideal",
+    "prime_ideals_above",
+    "squarefree_ideals",
+    "_multiplicative_fill",
+    "multiplicative_fill",
+    "factorize",
+    "smallest_prime_factors",
+    "primes_up_to",
+)
+
+
+@pytest.mark.parametrize("d", ["rational", 1, 5, 23])
+def test_brute_oracle_shares_nothing_with_the_fast_path(d, monkeypatch):
+    """With every prime, factorization, sieve and fill helper raising, in
+    every horocount module that binds one, the brute profile still runs and
+    still equals the profile of the route auto picks, computed before."""
+    f = make_field(d)
+    expected = phi_profile(f, 300, "auto")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the brute oracle reached a fast-path helper")
+
+    patched = 0
+    for name, module in list(sys.modules.items()):
+        if name == "horocount" or name.startswith("horocount."):
+            for helper in FAST_PATH_HELPERS:
+                if hasattr(module, helper):
+                    monkeypatch.setattr(module, helper, forbidden)
+                    patched += 1
+    assert patched >= len(FAST_PATH_HELPERS)
+    with pytest.raises(AssertionError, match="fast-path helper"):
+        phi_profile(f, 300, "auto")  # the patches reach the other route
+    assert phi_profile(f, 300, "brute") == expected
 
 
 def test_phi_dispatcher(Q, K1, K5):

@@ -25,6 +25,7 @@ from horocount.ideals import (
     InvalidDenominatorError,
     LatticeIdeal,
     ZeroIdealError,
+    _gcd_table,
     coprime_box,
     count_and_sum_norms,
     enumerate_norm_le,
@@ -240,9 +241,69 @@ def test_coprime_box_matches_scalar_coprimality(d):
             assert cell == is_coprime(f, RingElement(x, y), q), (f, q, x, y)
 
 
+def _five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def _hard_denominators(f):
+    """Denominators whose norms have many divisors or are prime powers: the
+    highly composite rational ones, the 5-smooth norms 500..1000 of
+    unit_orbit_reps over a field, and 27 (N = 729)."""
+    from horocount.counting import unit_orbit_reps
+
+    if f.is_rational:
+        return [RingElement(q, 0) for q in (360, 720, 2520)]
+    smooth = [q for q in unit_orbit_reps(f, 1000) if norm(f, q) >= 500 and _five_smooth(norm(f, q))]
+    return smooth[::4] + [RingElement(27, 0)]
+
+
+@pytest.mark.parametrize("d", ["rational", 1, 2])
+def test_coprime_box_on_hard_norms(d):
+    f = make_field(d)
+    qs = _hard_denominators(f)
+    assert len(qs) >= 3 and any(norm(f, q) >= 900 for q in qs)
+    for q in qs:
+        mask = coprime_box(f, q)
+        for (y, x), cell in np.ndenumerate(mask):
+            assert cell == is_coprime(f, RingElement(x, y), q), (f, q, x, y)
+        assert ring_totient(f, q) == ring_totient_product(f, q), (f, q)
+
+
+def test_gcd_table_is_gcd_with_the_norm():
+    for n in range(1, 3001):
+        assert np.array_equal(_gcd_table(n), np.gcd(np.arange(n), n)), n
+
+
 def test_ring_totient_zero_denominator(Q):
     with pytest.raises(InvalidDenominatorError):
         ring_totient(Q, RingElement(0, 0))
+
+
+# ----------------------------------------------------------------------
+# The HNF of (q), in closed form
+# ----------------------------------------------------------------------
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.sampled_from(["rational", 1, 2, 3, 5, 6, 7, 15, 23, 107]),
+    a=st.integers(-10**6, 10**6),
+    b=st.integers(-10**6, 10**6),
+)
+def test_principal_ideal_is_the_canonical_hnf(d, a, b):
+    f = make_field(d)
+    q = RingElement(a, 0 if f.is_rational else b)
+    if q.is_zero():
+        with pytest.raises(InvalidDenominatorError):
+            principal_ideal(f, q)
+        return
+    ideal = principal_ideal(f, q)
+    assert ideal == hnf_from_generators(f, [q])
+    assert 0 <= ideal.beta < ideal.alpha and ideal.alpha % ideal.gamma == 0
+    assert ideal.alpha * ideal.gamma == norm(f, q)
+    assert all(principal_ideal(f, mul(f, u, q)) == ideal for u in units(f))
 
 
 # ----------------------------------------------------------------------
