@@ -23,7 +23,6 @@ from .arith import primes_up_to
 from .field import (
     FieldSpec,
     InvalidFieldError,
-    UnsupportedFieldError,
     ideal_count_coefficients,
     kronecker_character,
     make_field,
@@ -179,10 +178,11 @@ def _cmd_horoballs(config: RunConfig) -> tuple[list[dict], dict]:
     balls = geodesics.canonical_balls(f, bound)
     rows = []
     for ball in balls:
+        center = ball.center  # derived from (p, q): read it once
         if f.is_rational:
-            cx, cy = str(ball.center), "0"
+            cx, cy = str(center), "0"
         else:
-            cx, cy = str(ball.center[0]), str(ball.center[1])
+            cx, cy = str(center[0]), str(center[1])
         src = ball.source
         rows.append(
             {
@@ -518,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
         message = str(exc) or "cannot allocate the arrays this request needs"
         sys.stderr.write(f"horocount-error code=too-large message={message}\n")
         return 2
-    except (UnsupportedFieldError, ValueError) as exc:
+    except ValueError as exc:
         sys.stderr.write(f"horocount-error code=invalid-request message={exc!s}\n")
         return 2
 

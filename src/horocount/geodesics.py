@@ -5,9 +5,10 @@ Conventions (fixed once):
   * the base horosphere sits at Euclidean height 1 in the upper half space,
     so a fraction p/q has depth log|q|^2 exactly;
   * the depth-0 class is the single fraction class with unit denominator;
-  * centers and diameters are exact rationals -- for the complex case the
-    center is stored as (re, im/sqrt(d)), both Fractions, so squared
-    distances stay rational.
+  * a Ford ball is a function of its fraction p/q: its center p/q and
+    diameter 1/|q|^2 are read off (p, q), never stored.  The center is a
+    Fraction over Q and the pair (re, im/sqrt(d)) of Fractions over
+    Q(sqrt(-d)), so squared distances stay rational.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .field import (
     arch_norm_sq,
     conj,
     mul,
-    norm,
     sub,
 )
 from .ideals import (
@@ -51,7 +51,8 @@ class MixedFieldError(ValueError):
 
 @dataclass(frozen=True)
 class RationalGeodesic:
-    """A fraction p/q mod O with (p, q) = 1, plus its depth log|q|^2.
+    """A fraction p/q mod O with (p, q) = 1; its depth log|q|^2 is derived
+    from q.
 
     Use make_geodesic to build the canonical representative; the dataclass
     itself does not re-normalize.
@@ -60,21 +61,35 @@ class RationalGeodesic:
     field: FieldSpec
     p: RingElement
     q: RingElement
-    depth: float
+
+    @property
+    def depth(self) -> float:
+        return math.log(arch_norm_sq(self.field, self.q))
 
 
 @dataclass(frozen=True)
 class Horoball:
-    """A Ford circle/sphere tangent to the boundary at p/q.
+    """The Ford circle/sphere of the source fraction p/q: tangent to the
+    boundary at p/q, with diameter 1/|q|^2.
 
-    center: a single Fraction over Q; over Q(sqrt(-d)) the pair
-    (re, im/sqrt(d)) of Fractions.  diameter = 1/|q|^2 exactly.
+    field, center and diameter are derived from source.  center is a single
+    Fraction over Q; over Q(sqrt(-d)) the pair (re, im/sqrt(d)) of
+    Fractions.
     """
 
-    field: FieldSpec
-    center: Fraction | tuple[Fraction, Fraction]
-    diameter: Fraction
     source: RationalGeodesic
+
+    @property
+    def field(self) -> FieldSpec:
+        return self.source.field
+
+    @property
+    def center(self) -> Fraction | tuple[Fraction, Fraction]:
+        return _center_of(self.field, self.source.p, self.source.q)
+
+    @property
+    def diameter(self) -> Fraction:
+        return Fraction(1, arch_norm_sq(self.field, self.source.q))
 
 
 @dataclass(frozen=True)
@@ -109,7 +124,7 @@ def make_geodesic(f: FieldSpec, p: RingElement, q: RingElement) -> RationalGeode
         raise NonCoprimeError(f"({p!r}, {q!r}) is not a coprime pair")
     q_canon, u = _canonical_associate(f, q)
     p_canon = reduce_mod(f, mul(f, u, p), principal_ideal(f, q_canon))
-    return RationalGeodesic(f, p_canon, q_canon, math.log(arch_norm_sq(f, q_canon)))
+    return RationalGeodesic(f, p_canon, q_canon)
 
 
 def _snap_to_int(x: float) -> int:
@@ -160,25 +175,25 @@ def growth_rate(f: FieldSpec, t_grid: list[float], method: str = "auto") -> floa
 # Horoballs
 # ----------------------------------------------------------------------
 
-def _center_of(f: FieldSpec, p: RingElement, q: RingElement):
-    if f.is_rational:
-        return Fraction(p.a, q.a)
-    n = norm(f, q)
-    num = mul(f, p, conj(f, q))  # p/q = num / n
+def _ford_form(f: FieldSpec, p: RingElement, q: RingElement) -> tuple[int, int, int]:
+    """(X, Y, M) with M = |q|^2 > 0: the Ford ball at p/q has center
+    (X, Y)/(2M), written (re, im/sqrt(d)) with Y = 0 over Q, and diameter 1/M."""
+    num = mul(f, p, conj(f, q))  # p/q = num / |q|^2
     # a + b*omega = (a + t*b/2) + ((2 - t)*b/2) sqrt(-d), since omega is
     # sqrt(-d) for t = 0 and (1 + sqrt(-d))/2 for t = 1
-    return (Fraction(2 * num.a + f.t * num.b, 2 * n), Fraction((2 - f.t) * num.b, 2 * n))
+    return 2 * num.a + f.t * num.b, (2 - f.t) * num.b, arch_norm_sq(f, q)
+
+
+def _center_of(f: FieldSpec, p: RingElement, q: RingElement):
+    x, y, m = _ford_form(f, p, q)
+    if f.is_rational:
+        return Fraction(x, 2 * m)
+    return Fraction(x, 2 * m), Fraction(y, 2 * m)
 
 
 def horoball_of(g: RationalGeodesic) -> Horoball:
     """The Ford ball of the geodesic: tangent at p/q, diameter 1/|q|^2."""
-    f = g.field
-    return Horoball(
-        field=f,
-        center=_center_of(f, g.p, g.q),
-        diameter=Fraction(1, arch_norm_sq(f, g.q)),
-        source=g,
-    )
+    return Horoball(g)
 
 
 def ford_ball(f: FieldSpec, p: RingElement, q: RingElement) -> Horoball:
@@ -191,8 +206,7 @@ def ford_ball(f: FieldSpec, p: RingElement, q: RingElement) -> Horoball:
         raise InvalidDenominatorError("q = 0 has no Ford ball")
     if not is_coprime(f, p, q):
         raise NonCoprimeError(f"({p!r}, {q!r}) is not a coprime pair")
-    g = RationalGeodesic(f, p, q, math.log(arch_norm_sq(f, q)))
-    return horoball_of(g)
+    return horoball_of(RationalGeodesic(f, p, q))
 
 
 def canonical_balls(f: FieldSpec, bound: int) -> list[Horoball]:
@@ -203,37 +217,10 @@ def canonical_balls(f: FieldSpec, bound: int) -> list[Horoball]:
     representative make_geodesic would give."""
     balls = []
     for q in unit_orbit_reps(f, bound):
-        depth = math.log(arch_norm_sq(f, q))
         ys, xs = np.nonzero(coprime_box(f, q))  # row-major: y, then x
         for y, x in zip(ys.tolist(), xs.tolist()):
-            balls.append(horoball_of(RationalGeodesic(f, RingElement(x, y), q, depth)))
+            balls.append(horoball_of(RationalGeodesic(f, RingElement(x, y), q)))
     return balls
-
-
-def _integer_form(f: FieldSpec, ball: Horoball) -> tuple[int, int, int, int, int]:
-    """(X, Y, D, dn, dd): the center (X/D, Y/D) over one denominator D > 0
-    (Y = 0 over Q) and the diameter dn/dd with dd > 0."""
-    re, im = (ball.center, 0) if f.is_rational else ball.center
-    den = math.lcm(re.denominator, im.denominator)
-    return (
-        re.numerator * (den // re.denominator),
-        im.numerator * (den // im.denominator),
-        den,
-        ball.diameter.numerator,
-        ball.diameter.denominator,
-    )
-
-
-def _is_ford_ball_of_source(f: FieldSpec, ball: Horoball) -> bool:
-    """Whether the ball is exactly the Ford ball of its source fraction p/q:
-    center p/q as _center_of writes it, diameter 1/|q|^2."""
-    src = ball.source
-    n = arch_norm_sq(f, src.q)
-    return (
-        n != 0
-        and ball.diameter == Fraction(1, n)
-        and ball.center == _center_of(f, src.p, src.q)
-    )
 
 
 def check_disjoint(balls: list[Horoball]) -> DisjointnessReport:
@@ -247,30 +234,29 @@ def check_disjoint(balls: list[Horoball]) -> DisjointnessReport:
     reverse, is a mismatch.  Pairs are reported as (i, j), i < j, in
     lexicographic order.
 
-    Only pairs that can touch are compared.  A pair with
-    |c1 - c2|^2 > d1*d2 is neither an overlap nor a tangency, and it is no
-    mismatch either, by the identity
-    |p1*q2 - p2*q1|^2 = |c1 - c2|^2 * N(q1) * N(q2) > d1*d2 * N(q1) * N(q2) = 1,
-    which holds when each ball is exactly the Ford ball of its source
-    (center p/q, diameter 1/|q|^2).  That is checked once per ball.  The
-    balls that pass are sorted by their real center, and each scans out in
-    both directions for partners no larger than itself (d2 <= d1), stopping
-    at the first ball with dRe^2 > d1^2: since |c1 - c2|^2 >= dRe^2 and
-    d1*d2 <= d1^2, every smaller partner farther out is apart.  Each pair
-    is looked at once, from its larger ball, and only a pair found touching
-    gets the cross-check.  A ball that fails the source check is compared
-    with every other ball, verdict and cross-check, so the report equals
-    that of a comparison of all n(n-1)/2 pairs.
+    Only pairs that can touch are compared.  A ball is the Ford ball of its
+    source by construction, center p/q and diameter 1/|q|^2, so the identity
+    |p1*q2 - p2*q1|^2 = |c1 - c2|^2 * |q1|^2 * |q2|^2 holds for every pair,
+    coprime or not.  A pair with |c1 - c2|^2 > d1*d2 is then neither an
+    overlap nor a tangency, and no mismatch either: its determinant has
+    |p1*q2 - p2*q1|^2 > d1*d2 * |q1|^2 * |q2|^2 = 1.  The balls are sorted
+    by their real center, and each scans out in both directions for partners
+    no larger than itself (d2 <= d1), stopping at the first ball with
+    dRe^2 > d1^2: since |c1 - c2|^2 >= dRe^2 and d1*d2 <= d1^2, every
+    smaller partner farther out is apart.  Each pair is looked at once, from
+    its larger ball, and only a pair found touching gets the cross-check, so
+    the report equals that of a comparison of all n(n-1)/2 pairs.
 
-    Every test is exact integer arithmetic on (X, Y, D, dn, dd), the center
-    (X/D, Y/D) and the diameter dn/dd, by cross-multiplication.
+    Every test is exact integer arithmetic on the (X, Y, M) of _ford_form,
+    by cross-multiplication; the cross-check takes its determinant from the
+    ring arithmetic on (p, q) instead.
     """
     if not balls:
         return DisjointnessReport([], [], [])
     f = balls[0].field
     if any(ball.field != f for ball in balls):
         raise MixedFieldError("all horoballs must come from the same field")
-    form = [_integer_form(f, ball) for ball in balls]
+    form = [_ford_form(f, ball.source.p, ball.source.q) for ball in balls]
     dim_weight = 0 if f.is_rational else f.d  # |c|^2 = re^2 + d * (im/sqrt(d))^2
     overlaps: list[tuple[int, int]] = []
     tangencies: list[tuple[int, int]] = []
@@ -278,11 +264,11 @@ def check_disjoint(balls: list[Horoball]) -> DisjointnessReport:
 
     def gap(i: int, j: int) -> int:
         """The sign of |c_i - c_j|^2 - d_i*d_j: -1 overlap, 0 tangency, 1 apart.
-        Both sides are taken times (D_i*D_j)^2 * dd_i * dd_j > 0."""
-        xi, yi, di, ni, mi = form[i]
-        xj, yj, dj, nj, mj = form[j]
-        dist = ((xi * dj - xj * di) ** 2 + dim_weight * (yi * dj - yj * di) ** 2) * mi * mj
-        prod = ni * nj * (di * dj) ** 2
+        Both sides are taken times 4 * (M_i*M_j)^2 > 0."""
+        xi, yi, mi = form[i]
+        xj, yj, mj = form[j]
+        dist = (xi * mj - xj * mi) ** 2 + dim_weight * (yi * mj - yj * mi) ** 2
+        prod = 4 * mi * mj
         return (dist > prod) - (dist < prod)
 
     def record(i: int, j: int, sign: int) -> None:
@@ -295,35 +281,26 @@ def check_disjoint(balls: list[Horoball]) -> DisjointnessReport:
         if (sign == 0) != (arch_norm_sq(f, cross) == 1):
             mismatches.append((i, j))
 
-    faithful = [_is_ford_ball_of_source(f, ball) for ball in balls]
-    order = sorted(
-        (i for i, ok in enumerate(faithful) if ok),
-        key=lambda i: Fraction(form[i][0], form[i][2]),
-    )
+    order = sorted(range(len(balls)), key=lambda i: Fraction(form[i][0], form[i][2]))
     # a pair is looked at from its larger ball (by diameter, ties by position)
     rank = [0] * len(balls)
-    for r, i in enumerate(sorted(order, key=lambda i: balls[i].diameter)):
+    for r, i in enumerate(sorted(order, key=lambda i: -form[i][2])):
         rank[i] = r
     for k, i in enumerate(order):
-        xi, _, di, ni, mi = form[i]
+        xi, _, mi = form[i]
         for step in (1, -1):
             pos = k + step
             while 0 <= pos < len(order):
                 j = order[pos]
                 pos += step
-                xj, _, dj, _, _ = form[j]
-                # dRe^2 > d_i^2, times (D_i*D_j)^2 * dd_i^2
-                if (xj * di - xi * dj) ** 2 * mi * mi > ni * ni * (di * dj) ** 2:
+                xj, _, mj = form[j]
+                # dRe^2 > d_i^2, times 4 * (M_i*M_j)^2
+                if (xj * mi - xi * mj) ** 2 > 4 * mj * mj:
                     break
                 if rank[j] < rank[i]:
                     sign = gap(i, j)
                     if sign <= 0:
                         record(min(i, j), max(i, j), sign)
-    for i, ok in enumerate(faithful):
-        if not ok:
-            for j in range(len(balls)):
-                if j != i and (faithful[j] or i < j):
-                    record(min(i, j), max(i, j), gap(i, j))
     for pairs in (overlaps, tangencies, mismatches):
         pairs.sort()
     return DisjointnessReport(overlaps, tangencies, mismatches)

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from horocount import geodesics
 from horocount.counting import phi, phi_profile, resolve_method, unit_orbit_reps
 from horocount.field import (
     RingElement,
@@ -248,16 +249,18 @@ def _pairwise_report(balls):
     if not balls:
         return DisjointnessReport([], [], [])
     f = balls[0].field
+    centers = [ball.center for ball in balls]
+    diameters = [ball.diameter for ball in balls]
     overlaps, tangencies, mismatches = [], [], []
     for i in range(len(balls)):
         for j in range(i + 1, len(balls)):
             a, b = balls[i], balls[j]
             if f.is_rational:
-                dist_sq = (a.center - b.center) ** 2
+                dist_sq = (centers[i] - centers[j]) ** 2
             else:
-                (re1, im1), (re2, im2) = a.center, b.center
+                (re1, im1), (re2, im2) = centers[i], centers[j]
                 dist_sq = (re1 - re2) ** 2 + f.d * (im1 - im2) ** 2
-            prod = a.diameter * b.diameter
+            prod = diameters[i] * diameters[j]
             tangent = dist_sq == prod
             if dist_sq < prod:
                 overlaps.append((i, j))
@@ -279,29 +282,15 @@ def _raw_window(f, denominators, numerators):
 
 
 def _corrupted(seed):
-    """Canonical balls with one ball's center, diameter or source fraction
-    altered, plus one ball listed twice."""
+    """Canonical balls with one ball's numerator moved, so that it may share
+    a factor with q, plus one ball listed twice."""
     rng = random.Random(seed)
     f = make_field("rational") if seed % 2 else make_field(1)
     balls = canonical_balls(f, 14 if f.is_rational else 8)
     k = rng.randrange(len(balls))
-    ball = balls[k]
-    kind = seed % 3
-    if kind == 0:
-        ball = dataclasses.replace(ball, diameter=ball.diameter * Fraction(rng.choice((2, 3)), 5))
-    elif kind == 1:
-        shift = Fraction(1, rng.choice((3, 7, 11)))
-        center = (
-            ball.center + shift
-            if f.is_rational
-            else (ball.center[0] + shift, ball.center[1])
-        )
-        ball = dataclasses.replace(ball, center=center)
-    else:
-        src = ball.source
-        moved = RingElement(src.p.a + rng.choice((1, 2)), src.p.b)
-        ball = dataclasses.replace(ball, source=dataclasses.replace(src, p=moved))
-    balls[k] = ball
+    src = balls[k].source
+    moved = RingElement(src.p.a + rng.choice((1, 2)), src.p.b)
+    balls[k] = dataclasses.replace(balls[k], source=dataclasses.replace(src, p=moved))
     balls.append(balls[rng.randrange(len(balls))])
     return balls
 
@@ -320,6 +309,16 @@ _SWEEP_INPUTS = {
     ),
     "raw-d=1": lambda: _raw_window(
         make_field(1), [q for q in _ZI if norm(make_field(1), q) <= 5], _ZI[::2]
+    ),
+    # q and -q, so each fraction is also listed as -p/-q
+    "raw-Q-signs": lambda: _raw_window(
+        make_field("rational"),
+        [RingElement(q) for q in range(-9, 10)],
+        [RingElement(p) for p in range(-9, 10)],
+    ),
+    # every associate of each small q (t = 1, w = 6), not only the canonical one
+    "raw-d=3-associates": lambda: _raw_window(
+        make_field(3), [q for q in _ZI if norm(make_field(3), q) <= 4], _ZI[::4]
     ),
     # every center has real part 0
     "ties": lambda: _raw_window(
@@ -342,11 +341,53 @@ def test_check_disjoint_equals_pairwise(name):
 def test_sweep_oracle_inputs_hit_every_list():
     overlapping = _SWEEP_INPUTS["raw-d=1"]()
     assert check_disjoint(overlapping).overlaps
-    assert any(
-        check_disjoint(_corrupted(seed)).unimodular_mismatches for seed in range(20)
-    )
     ties = _SWEEP_INPUTS["ties"]()
     assert len({ball.center[0] for ball in ties}) == 1 < len(ties)
+    signs = _SWEEP_INPUTS["raw-Q-signs"]()
+    assert {b.source.q.a < 0 for b in signs} == {True, False}
+    associates = _SWEEP_INPUTS["raw-d=3-associates"]()
+    f3 = make_field(3)
+    assert any(_canonical_associate(f3, b.source.q)[0] != b.source.q for b in associates)
+
+
+@pytest.mark.parametrize("d, target", [("rational", 4), (1, 2)])
+def test_enlarged_ball_shows_as_mismatches(monkeypatch, d, target):
+    # the geometry and the determinant are two routes: a ball whose geometry
+    # is doubled in diameter (center kept) turns each of its tangencies into
+    # an overlap of a unimodular pair, which the cross-check must flag
+    f = make_field(d)
+    balls = canonical_balls(f, 14 if f.is_rational else 8)
+    (k,) = [i for i, b in enumerate(balls) if arch_norm_sq(f, b.source.q) == target]
+    touched = [pair for pair in check_disjoint(balls).tangencies if k in pair]
+    assert touched
+    ford_form = geodesics._ford_form
+
+    def enlarged(f, p, q):
+        x, y, m = ford_form(f, p, q)
+        if m == target:  # x and y are even here, so the center is unchanged
+            return x // 2, y // 2, m // 2
+        return x, y, m
+
+    monkeypatch.setattr(geodesics, "_ford_form", enlarged)
+    report = check_disjoint(balls)
+    assert set(touched) <= set(report.unimodular_mismatches)
+    assert set(touched) <= set(report.overlaps)
+
+
+def test_replaced_source_moves_the_ball(Q, K3):
+    # center, diameter and depth are read off the source, never stored
+    ball = ford_ball(Q, RingElement(1), RingElement(2))
+    source = dataclasses.replace(ball.source, p=RingElement(2), q=RingElement(-3))
+    moved = dataclasses.replace(ball, source=source)
+    assert (moved.center, moved.diameter) == (Fraction(-2, 3), Fraction(1, 9))
+    assert moved.source.depth == pytest.approx(math.log(9), abs=1e-12)
+    ball = ford_ball(K3, RingElement(1), RingElement(2))
+    assert (ball.center, ball.diameter) == ((Fraction(1, 2), Fraction(0)), Fraction(1, 4))
+    # 1/(1 + omega) = (1 + conj(omega))/3 = 1/2 - sqrt(-3)/6 with omega = (1 + sqrt(-3))/2
+    moved = dataclasses.replace(ball, source=dataclasses.replace(ball.source, q=RingElement(1, 1)))
+    assert (moved.center, moved.diameter) == ((Fraction(1, 2), Fraction(-1, 6)), Fraction(1, 3))
+    assert moved.source.depth == pytest.approx(math.log(3), abs=1e-12)
+    assert moved == ford_ball(K3, RingElement(1), RingElement(1, 1))
 
 
 # ----------------------------------------------------------------------
