@@ -2,7 +2,8 @@
 
 Everything here is exact integer math: sieves, modular square roots,
 factorization of machine-sized integers, and multiplicative_fill, the one
-sieve behind every multiplicative table of the package.  No field logic.
+segmented sieve behind every multiplicative table of the package.  No field
+logic.
 """
 
 from __future__ import annotations
@@ -28,7 +29,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def smallest_prime_factors(n: int) -> np.ndarray:
-    """spf[k] = smallest prime factor of k for 0 <= k <= n (spf[0]=spf[1]=0)."""
+    """spf[k] = smallest prime factor of k for 0 <= k <= n (spf[0]=spf[1]=0).
+
+    primes_up_to reads the primes off it; multiplicative_fill asks it only
+    for the primes up to isqrt(n).
+    """
     spf = np.zeros(n + 1, dtype=np.int64)
     for p in range(2, isqrt(n) + 1):
         if spf[p] == 0:
@@ -69,36 +74,74 @@ def is_squarefree(n: int) -> bool:
     return n >= 1 and all(e == 1 for _, e in factorize(n))
 
 
+# The most numbers filled at once, in int64 arrays of 512 kB.  Below it a
+# block holds 32 * isqrt(n) numbers: a block costs a few numpy calls per
+# prime up to isqrt(n), so its size grows with their count.
+_FILL_BLOCK = 1 << 16
+
+
 def multiplicative_fill(n: int, prime_power) -> np.ndarray:
     """a[0..n] (int64) of the multiplicative function with a[0] = 0, a[1] = 1
-    and a[p^e] = prime_power(p, e), called once per prime power p^e <= n.
+    and a[p^e] = prime_power(p, e).
 
-    Each k >= 2 splits as p^e * rest with p its smallest prime factor, and
-    a[k] = a[rest] * a[p^e].  rest has one distinct prime fewer than k, so
-    pass j fills every k with j distinct primes and the passes number at most
-    the largest such count below n (7 below 9 699 690).
+    prime_power takes int64 arrays p and e of one length, possibly empty, and
+    returns the int64 array of the values.  Over all its calls it is handed every
+    prime power p^e <= n exactly once: the powers of the primes p <= isqrt(n)
+    in one call, then, block by block, the primes above isqrt(n), whose
+    squares pass n.
+
+    A segmented sieve (Bays & Hudson, BIT 17 (1977)) over blocks of at most
+    _FILL_BLOCK = 2^16 numbers, so the working memory besides a is a few
+    block-sized arrays.  In a block every prime p <= isqrt(n) is stripped
+    from its multiples by strided slices, and one factor array per prime
+    takes a[p^e] at the multiples of p^e, level by level.  What is left of m
+    is 1 or one prime r > isqrt(n), and a[m] takes the factor a[r]: a prime's
+    value is written when its own block is reached, and r <= m/2 otherwise,
+    so a[r] is already there.
+
+    Int64: the fill forms no number above n, so it is exact for every n an
+    array can index, and a[k] is the product of its prime-power values, exact
+    while those products fit (each caller states its ceiling).  A prime_power
+    that squares residues b < p, as the field's vectorised Euler criterion
+    does, is exact for n below 3.03 * 10^9.
     """
     a = np.zeros(max(n + 1, 0), dtype=np.int64)
     if n < 1:
         return a
     a[1] = 1
-    p = smallest_prime_factors(n)[2:]  # p[i] and rest[i] belong to k = i + 2
-    rest = np.arange(2, n + 1, dtype=np.int64) // p
-    e = np.ones(n - 1, dtype=np.int8)
-    more = np.flatnonzero(rest % p == 0)
-    while more.size:
-        rest[more] //= p[more]
-        e[more] += 1
-        more = more[rest[more] % p[more] == 0]
-    powers = np.flatnonzero(rest == 1)
-    a[powers + 2] = [prime_power(int(q), int(x)) for q, x in zip(p[powers], e[powers])]
-    done = np.concatenate(([False, True], rest == 1))
-    pending = np.flatnonzero(rest > 1)
-    while pending.size:
-        ready = done[rest[pending]]
-        now, pending = pending[ready], pending[~ready]
-        a[now + 2] = a[rest[now]] * a[(now + 2) // rest[now]]
-        done[now + 2] = True
+    block = min(32 * isqrt(n), _FILL_BLOCK)
+    ladders = []  # [p, p^2, ...] up to n, for each prime p <= isqrt(n)
+    for p in primes_up_to(isqrt(n)):
+        ladders.append([p])
+        while ladders[-1][-1] * p <= n:
+            ladders[-1].append(ladders[-1][-1] * p)
+    values = iter(prime_power(
+        np.array([ladder[0] for ladder in ladders for _ in ladder], dtype=np.int64),
+        np.array([e for ladder in ladders for e in range(1, len(ladder) + 1)], dtype=np.int64),
+    ).tolist())
+    values = [[next(values) for _ in ladder] for ladder in ladders]  # a[p^e], ladder by ladder
+    for lo in range(2, n + 1, block):
+        size = min(block, n + 1 - lo)
+        m = np.arange(lo, lo + size, dtype=np.int64)
+        rest = m.copy()
+        val = np.ones(size, dtype=np.int64)
+        for (p, *higher), (factor, *levels) in zip(ladders, values):
+            first = -lo % p
+            if first >= size:
+                continue
+            rest[first::p] //= p
+            for q, level in zip(higher, levels):  # factor: a[p], then an array
+                start = -lo % q
+                if start >= size:
+                    break
+                if q == p * p:
+                    factor = np.full(len(range(first, size, p)), factor, dtype=np.int64)
+                factor[(start - first) // p :: q // p] = level
+                rest[start::q] //= p
+            val[first::p] *= factor
+        primes = np.flatnonzero(rest == m)  # the primes above isqrt(n)
+        a[lo + primes] = prime_power(m[primes], np.ones(primes.size, dtype=np.int64))
+        np.multiply(val, a[rest], out=a[lo : lo + size])
     return a
 
 
@@ -109,7 +152,7 @@ def totient_sieve(n: int) -> list[int]:
 
 def mobius_sieve(n: int) -> list[int]:
     """mu[0..n] for the ordinary Moebius function (mu[0] = 0)."""
-    return multiplicative_fill(n, lambda p, e: -1 if e == 1 else 0).tolist()
+    return multiplicative_fill(n, lambda p, e: np.where(e == 1, -1, 0)).tolist()
 
 
 def primes_up_to(n: int) -> list[int]:

@@ -88,6 +88,8 @@ class RunConfig:
             raise CliError("missing-cutoffs", f"{self.command} requires --cutoffs")
         if self.method is not None and self.method not in ("brute", "mobius", "both"):
             raise CliError("bad-method", f"unknown method {self.method!r}")
+        if self.command != "count" and self.method is not None:
+            raise CliError("stray-method", "--method is only meaningful for count")
         if self.format not in ("json", "csv"):
             raise CliError("bad-format", f"unknown format {self.format!r}")
         if self.command != "zeta" and self.tolerance is not None:
@@ -490,7 +492,7 @@ def build_config(argv: list[str]) -> RunConfig:
     parser.add_argument("--field", required=True, help="'rational' or d=<squarefree d>")
     parser.add_argument("--cutoffs", help="comma-separated increasing cutoffs")
     parser.add_argument("--s", type=float, help="series exponent (poincare only)")
-    parser.add_argument("--method", choices=["brute", "mobius", "both"])
+    parser.add_argument("--method", choices=["brute", "mobius", "both"], help="count only")
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--tolerance", type=float)

@@ -267,16 +267,17 @@ def _character_table(f: FieldSpec) -> tuple[tuple[int, ...], int]:
 # ----------------------------------------------------------------------
 
 _ZETA2 = math.pi * math.pi / 6.0
-_SUM_BLOCK = 1 << 16  # terms of the character series built at once
+_SUM_BLOCK = 1 << 16  # terms of a series built at once
 # A work budget, about 20 s of blocks on one CPU.  2^30 terms certify tol =
 # 4*M*zeta(2)/2^60, under 6e-16 (a few float64 spacings near zeta_K(2))
 # while M < 100, so it refuses no tolerance float64 could honour there.
 _MAX_TERMS = 1 << 30
 
 
-def _character_sum(chi: np.ndarray, D: int, lo: int, hi: int) -> float:
-    """sum of chi(k)/k^2 over lo <= k < hi, bit for bit the np.sum of the one
-    float64 array of those terms, built one block of _SUM_BLOCK terms at a time.
+def _pairwise_sum(terms, lo: int, hi: int) -> float:
+    """The sum of the float64 terms lo <= k < hi, bit for bit the np.sum of
+    their one array, with terms(lo, hi) building one block of at most
+    _SUM_BLOCK of them at a time.
 
     numpy sums a contiguous float64 array pairwise: a run longer than its
     128-term base case splits at half = len // 2 rounded down to a multiple
@@ -288,9 +289,8 @@ def _character_sum(chi: np.ndarray, D: int, lo: int, hi: int) -> float:
     if size > _SUM_BLOCK:
         half = size // 2
         half -= half % 8
-        return _character_sum(chi, D, lo, lo + half) + _character_sum(chi, D, lo + half, hi)
-    k = np.arange(lo, hi, dtype=np.int64)
-    return float(np.sum(chi[k % D] / (k.astype(np.float64) ** 2)))
+        return _pairwise_sum(terms, lo, lo + half) + _pairwise_sum(terms, lo + half, hi)
+    return float(np.sum(terms(lo, hi)))
 
 
 @lru_cache(maxsize=_FIELD_CACHE)
@@ -304,7 +304,7 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
     more than 2^30 terms raises OverflowError before any work is done.
 
     Working memory is one block of 2^16 terms (a few arrays of 512 kB),
-    whatever N is: _character_sum splits the N terms where numpy's pairwise
+    whatever N is: _pairwise_sum splits the N terms where numpy's pairwise
     summation splits the one N-term array, so the value is that array's
     np.sum to the last bit.
     """
@@ -322,7 +322,12 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
         )
     n_terms = isqrt(int(4 * m * _ZETA2 / tol)) + 1
     chi = np.asarray(tab, dtype=np.float64)
-    return _ZETA2 * _character_sum(chi, f.D, 1, n_terms + 1)
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        k = np.arange(lo, hi, dtype=np.int64)
+        return chi[k % f.D] / (k.astype(np.float64) ** 2)
+
+    return _ZETA2 * _pairwise_sum(terms, 1, n_terms + 1)
 
 
 def splitting_type(f: FieldSpec, p: int) -> str:
@@ -344,23 +349,45 @@ def splitting_type(f: FieldSpec, p: int) -> str:
     return "split" if euler == 1 else "inert"
 
 
-def _prime_power_ideal_count(split: str, p: int, e: int) -> int:
-    if split == "split":
-        return e + 1
-    if split == "ramified":
-        return 1
-    return 1 if e % 2 == 0 else 0
+def _splitting_kinds(f: FieldSpec, p: np.ndarray) -> np.ndarray:
+    """chi(p) for an int64 array of primes p: 1 where p splits, -1 where it is
+    inert, 0 where it ramifies.  Over Q every p has one prime of norm p, so
+    all kinds are 0, the ramified row of every table.
+
+    splitting_type's rule, elementwise, with Euler's criterion by
+    square-and-multiply.  Like splitting_type it does not go through
+    kronecker_character, so the two can be cross-checked.  The squares b*b of
+    residues b < p are exact in int64 for p below 3.03 * 10^9.
+    """
+    if f.is_rational:
+        return np.zeros_like(p)
+    power, base, exponent = np.ones_like(p), -f.D % p, (p - 1) // 2
+    while exponent.any():
+        power = np.where(exponent & 1, power * base % p, power)
+        base = base * base % p
+        exponent >>= 1
+    kind = np.where(power == 1, 1, -1)
+    kind[p == 2] = 1 if f.n % 2 == 0 else -1
+    kind[f.D % p == 0] = 0
+    return kind
+
+
+def _prime_power_ideal_count(kind: np.ndarray, p: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Ideals of norm p^e, elementwise: e + 1 where p splits, 1 where it
+    ramifies, and 1 or 0 where it is inert, as e is even or odd."""
+    return np.where(kind == 1, e + 1, np.where(kind == 0, 1, 1 - e % 2))
 
 
 def _multiplicative_fill(f: FieldSpec, n_max: int, table) -> np.ndarray:
     """a[0..n_max] of the multiplicative function with a[0] = 0, a[1] = 1 and
-    a[p^e] = table(splitting_type(f, p), p, e), for every field.
+    a[p^e] = table(kind, p, e), for every field: the table takes int64
+    arrays, kind from _splitting_kinds.
 
-    Q is the degenerate field: each p has exactly one prime of norm p, so it
-    takes the 'ramified' row of every table.
+    arith.multiplicative_fill fills it block by block, so the working memory
+    besides a is one block of at most 2^16 numbers, with no Python call per
+    prime.
     """
-    kind = (lambda p: "ramified") if f.is_rational else (lambda p: splitting_type(f, p))
-    return multiplicative_fill(n_max, lambda p, e: table(kind(p), p, e))
+    return multiplicative_fill(n_max, lambda p, e: table(_splitting_kinds(f, p), p, e))
 
 
 def ideal_count_coefficients(f: FieldSpec, n_max: int) -> list[int]:
@@ -381,14 +408,24 @@ def zeta_K_2_via_ideal_counts(f: FieldSpec, n_max: int = 200_000) -> float:
     The ideal-counting function is Res_K * t + O(t^(1/3)), so the corrected
     partial sum carries an O(n_max^(-5/3)) error; at the default n_max that
     is comfortably below 1e-8.
+
+    Working memory besides the int64 counts a_n is one block: the fill's,
+    then one float64 array of 2^16 terms a_n / n^2.  The blocks split where
+    numpy's pairwise sum splits the one array of all n_max + 1 terms, so the
+    sum is that array's np.sum to the last bit.
     """
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    a = _multiplicative_fill(f, n_max, _prime_power_ideal_count).astype(np.float64)
-    n = np.arange(n_max + 1, dtype=np.float64)
-    n[0] = 1.0  # avoid 0/0; a[0] = 0
-    partial = float(np.sum(a / (n * n)))
-    return partial + residue_K(f) / n_max
+    a = _multiplicative_fill(f, n_max, _prime_power_ideal_count)
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        n = np.arange(lo, hi, dtype=np.float64)
+        if lo == 0:
+            n[0] = 1.0  # avoid 0/0; a[0] = 0
+        n *= n
+        return np.divide(a[lo:hi], n, out=n)
+
+    return _pairwise_sum(terms, 0, n_max + 1) + residue_K(f) / n_max
 
 
 # ----------------------------------------------------------------------

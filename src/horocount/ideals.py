@@ -576,12 +576,15 @@ def _relative_norm_histograms(
 # Moebius sums over ideals
 # ----------------------------------------------------------------------
 
-def _mobius_prime_power(split: str, p: int, e: int) -> int:
-    if split == "split":
-        return -2 if e == 1 else 1 if e == 2 else 0
-    if split == "ramified":
-        return -1 if e == 1 else 0
-    return -1 if e == 2 else 0
+def _mobius_prime_power(kind: np.ndarray, p: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """Sum of mu(I) over the ideals I of norm p^e, elementwise, by how p
+    splits (kind as field._splitting_kinds gives it)."""
+    split, ramified, inert = kind == 1, kind == 0, kind == -1
+    return np.select(
+        [split & (e == 1), split & (e == 2), ramified & (e == 1), inert & (e == 2)],
+        [-2, 1, -1, -1],
+        0,
+    )
 
 
 def mobius_norm_coefficients(f: FieldSpec, bound: int) -> list[int]:
@@ -596,7 +599,7 @@ def mobius_norm_coefficients(f: FieldSpec, bound: int) -> list[int]:
 
 def mobius_reciprocal_partial(f: FieldSpec, bound: int) -> float:
     """Partial sum of mu(I)/N(I)^2 over N(I) <= bound, converging to 1/zeta_K(2)."""
-    m = np.asarray(mobius_norm_coefficients(f, bound), dtype=np.float64)
+    m = _multiplicative_fill(f, bound, _mobius_prime_power).astype(np.float64)
     n = np.arange(bound + 1, dtype=np.float64)
     n[0] = 1.0
     return float(np.sum(m / (n * n)))

@@ -3,9 +3,15 @@
 import math
 import random
 
+import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from horocount import arith
 from horocount.arith import factorize, multiplicative_fill
+from horocount.counting import _totient_prime_power
+from horocount.field import _multiplicative_fill, _prime_power_ideal_count, make_field
+from horocount.ideals import _mobius_prime_power
 
 
 @settings(max_examples=40, deadline=None)
@@ -19,14 +25,28 @@ def test_multiplicative_fill_matches_factorize(n, seed):
     calls: list[tuple[int, int]] = []
 
     def prime_power(p, e):
-        calls.append((p, e))
-        return table.setdefault((p, e), rng.randint(-9, 9))
+        assert p.dtype == e.dtype == np.int64 and p.shape == e.shape
+        pairs = list(zip(p.tolist(), e.tolist()))
+        calls.extend(pairs)
+        return np.array([table.setdefault(pe, rng.randint(-9, 9)) for pe in pairs], dtype=np.int64)
 
     a = multiplicative_fill(n, prime_power)
     assert len(a) == n + 1 and a[0] == 0
     assert n < 1 or a[1] == 1
     factorizations = {k: factorize(k) for k in range(2, n + 1)}
     powers = sorted(fs[0] for fs in factorizations.values() if len(fs) == 1)
-    assert sorted(calls) == powers  # once per prime power p^e <= n
+    assert sorted(calls) == powers  # once per prime power p^e <= n, over all calls
     for k, fs in factorizations.items():
         assert a[k] == math.prod(table[pe] for pe in fs), k
+
+
+@pytest.mark.parametrize("table", [_prime_power_ideal_count, _totient_prime_power, _mobius_prime_power])
+@pytest.mark.parametrize("d", ["rational", 1, 2, 3, 5, 23, 47])
+def test_fill_is_the_same_for_every_block_size(d, table, monkeypatch):
+    """Blocks of 1, 7 and 64 numbers put a prime power, a prime above sqrt(n)
+    and its multiples on every side of a block boundary."""
+    f = make_field(d)
+    want = _multiplicative_fill(f, 3000, table)
+    for block in (1, 7, 64):
+        monkeypatch.setattr(arith, "_FILL_BLOCK", block)
+        assert np.array_equal(_multiplicative_fill(f, 3000, table), want), block

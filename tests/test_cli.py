@@ -291,6 +291,8 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         (["verify", "--field", "1", "--cutoffs", "1e19"], "too-large"),
         # 2.6e10 terms, past the work budget of one series: refused, not summed
         (["zeta", "--field", "d=1", "--tolerance", "1e-20"], "too-large"),
+        # only count reads a method; depths picks its own and says which
+        (["depths", "--field", "1", "--cutoffs", "3", "--method", "mobius"], "stray-method"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text

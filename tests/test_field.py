@@ -12,12 +12,14 @@ import numpy as np
 import pytest
 
 from horocount.arith import is_squarefree, primes_up_to
+import horocount.field as field_module
 from horocount.field import (
     _ZETA2,
     InvalidFieldError,
     RingElement,
     UnsupportedFieldError,
     _character_table,
+    _splitting_kinds,
     class_number,
     conj,
     ideal_count_coefficients,
@@ -343,6 +345,30 @@ def test_zeta_working_memory_is_one_block(traced_peak_mb):
     assert traced_peak_mb(lambda: zeta_K_2.__wrapped__(K107, 1e-10)) < 4
 
 
+def zeta_via_ideal_counts_one_array(f, n_max):
+    """zeta_K_2_via_ideal_counts as one float64 array of all n_max + 1 terms."""
+    a = np.array(ideal_count_coefficients(f, n_max), dtype=np.float64)
+    n = np.arange(n_max + 1, dtype=np.float64)
+    n[0] = 1.0
+    return float(np.sum(a / (n * n))) + residue_K(f) / n_max
+
+
+@pytest.mark.parametrize("d", [1, 3, 58, 123])
+def test_ideal_count_zeta_blocks_sum_to_the_one_array_sum(d):
+    f = make_field(d)
+    for n_max in (1, 127, 128, 2**14, 2**14 + 1, 2**16 + 1, 200_000):
+        want = zeta_via_ideal_counts_one_array(f, n_max)
+        assert zeta_K_2_via_ideal_counts(f, n_max).hex() == want.hex(), n_max
+
+
+def test_ideal_count_zeta_working_memory_is_one_block(traced_peak_mb):
+    # the one-array fill and sum of these 200 001 terms peaked near 8.6 MB;
+    # the int64 counts alone are 1.6 MB
+    K123 = make_field(123)
+    assert K123.h == 2  # the class number is computed before the trace starts
+    assert traced_peak_mb(lambda: zeta_K_2_via_ideal_counts(K123, 200_000)) < 3
+
+
 # ----------------------------------------------------------------------
 # Ideal-count coefficients
 # ----------------------------------------------------------------------
@@ -478,3 +504,23 @@ def test_splitting_type_examples(K1, K3):
     assert splitting_type(K3, 3) == "ramified"
     assert splitting_type(K3, 2) == "inert"  # d = 3 mod 8
     assert splitting_type(make_field(7), 2) == "split"  # d = 7 mod 8
+
+
+# the 20 fields pinned by test_counting.py::test_mobius_equals_brute_every_class_number
+PINNED_FIELDS = (1, 2, 3, 7, 11, 19, 43, 5, 6, 10, 13, 15, 22, 23, 14, 17, 21, 47, 79, 26)
+
+
+def test_vectorised_splitting_kinds_match_splitting_type(monkeypatch):
+    """The fill's splitting kinds are splitting_type's, prime by prime, and
+    like it they never reach the Kronecker symbol they are checked against."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the splitting kinds reached kronecker_character")
+
+    monkeypatch.setattr(field_module, "kronecker_character", forbidden)
+    primes = primes_up_to(20_000)
+    name = {1: "split", -1: "inert", 0: "ramified"}
+    for d in PINNED_FIELDS:
+        f = make_field(d)
+        kinds = _splitting_kinds(f, np.array(primes, dtype=np.int64))
+        assert [name[k] for k in kinds.tolist()] == [splitting_type(f, p) for p in primes], d
