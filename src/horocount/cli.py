@@ -3,7 +3,7 @@ machine-readable JSON/CSV output for plots and regression tests.
 
 Commands: count, zeta, classnum, depths, horoballs, poincare, verify.
 JSON output follows the shipped schema (schemas/run-v1.schema.json); CSV is
-the plotting interface with fixed headers.  Exact integers above 2^53 are
+the plotting interface with fixed headers.  Row values beyond 2^53 are
 emitted as decimal strings so nothing is rounded downstream.
 """
 
@@ -44,8 +44,8 @@ SCHEMA_ID = "horocount.run/1"
 COMMANDS = ("count", "zeta", "classnum", "depths", "horoballs", "poincare", "verify")
 BIG_INT = 2**53
 # horoballs refuses a bound whose estimated ball count, phi_asymptotic(bound),
-# is past this: at the ceiling one run took 23 s (Q) to 52 s (d = 3) on one
-# 2-vCPU VM core and peaked near 700 MB
+# is past this: just under it (Q to N = 702, d = 1 to 758, d = 3 to 798) one run
+# took 10-19 s on one core of a 2-vCPU VM and peaked at 273-277 MB RSS
 HOROBALL_CEILING = 150_000
 
 
@@ -69,11 +69,13 @@ class RunConfig:
     def validate(self) -> None:
         if self.command not in COMMANDS:
             raise CliError("unknown-command", f"unknown command {self.command!r}")
+        if self.command in ("zeta", "classnum") and self.cutoffs:
+            raise CliError("stray-cutoffs", f"{self.command} takes no --cutoffs")
         if not all(math.isfinite(c) for c in self.cutoffs):
             raise CliError("bad-cutoffs", "cutoffs must be finite")
-        # depths takes t < 0 (no class has negative depth); zeta and classnum ignore
-        # cutoffs; a series starts at |c| = 1, the smallest nonzero element
-        low = {"count": 0, "horoballs": 0, "verify": 0, "poincare": 1}.get(self.command)
+        # depths takes t < 0 (no class has negative depth); a series starts at
+        # |c| = 1, the smallest nonzero element; below 1 verify checks empty sets
+        low = {"count": 0, "horoballs": 0, "verify": 1, "poincare": 1}.get(self.command)
         if low is not None and any(c < low for c in self.cutoffs):
             raise CliError("bad-cutoffs", f"{self.command} cutoffs must be >= {low}")
         if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
@@ -109,8 +111,12 @@ def _field_record(f: FieldSpec) -> dict:
 def _row(f: FieldSpec, value, method: str, x_or_t, predicted=None, **extra) -> dict:
     """One result row: the value with its method, field and abscissa, the
     predicted main term and value / predicted where there is one, and any
-    command-specific keys."""
+    command-specific keys.  An int value beyond 2^53 becomes its decimal string:
+    no other slot can pass 2^53 (ball coordinates are bounded by the ceiling,
+    verify rows hold bools and strings, extras floats and small counts)."""
     ratio = value / predicted if predicted else None
+    if isinstance(value, int) and not isinstance(value, bool) and abs(value) > BIG_INT:
+        value = str(value)
     return {"value": value, "method": method, "field": _field_record(f), "x_or_t": x_or_t,
             "predicted": predicted, "ratio": ratio, **extra}
 
@@ -178,6 +184,7 @@ def _cmd_horoballs(config: RunConfig) -> tuple[list[dict], dict]:
             f"more than the {HOROBALL_CEILING:,} one run checks",
         )
     balls = geodesics.canonical_balls(f, bound)
+    field = _field_record(f)  # one dict shared by every row
     rows = []
     for ball in balls:
         center = ball.center  # derived from (p, q): read it once
@@ -194,7 +201,7 @@ def _cmd_horoballs(config: RunConfig) -> tuple[list[dict], dict]:
                 "center_y": cy,
                 "diameter": str(ball.diameter),
                 "depth": src.depth,
-                "field": _field_record(f),
+                "field": field,
             }
         )
     report = geodesics.check_disjoint(balls)
@@ -353,18 +360,6 @@ def _cmd_verify(config: RunConfig) -> tuple[list[dict], dict]:
 # Output encoding
 # ----------------------------------------------------------------------
 
-def _stringify_big_ints(obj):
-    if isinstance(obj, bool):
-        return obj
-    if isinstance(obj, int) and abs(obj) > BIG_INT:
-        return str(obj)
-    if isinstance(obj, dict):
-        return {k: _stringify_big_ints(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stringify_big_ints(v) for v in obj]
-    return obj
-
-
 def _render_json(config: RunConfig, rows: list[dict], extras: dict) -> str:
     envelope = {
         "schema": SCHEMA_ID,
@@ -377,10 +372,14 @@ def _render_json(config: RunConfig, rows: list[dict], extras: dict) -> str:
             "tolerance": config.tolerance,
         },
         "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        "rows": _stringify_big_ints(rows),
+        "rows": rows,
     }
-    envelope.update(_stringify_big_ints(extras))
-    return json.dumps(envelope, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    envelope.update(extras)
+    # one buffer, not dumps' list of chunks; a NaN still raises before any output
+    buf = io.StringIO()
+    json.dump(envelope, buf, sort_keys=True, indent=2, allow_nan=False)
+    buf.write("\n")
+    return buf.getvalue()
 
 
 _PLOT_HEADER = ["x_or_t", "value", "predicted", "ratio"]

@@ -219,7 +219,7 @@ def phi(f: FieldSpec, x: float, method: str = "auto") -> int:
     if x < 1:
         warnings.warn("phi(x) with x < 1 counts no denominators", RuntimeWarning)
         return 0
-    return phi_profile(f, x, method)[-1]
+    return int(_increments(f, x, method).sum())
 
 
 def phi_bruteforce(f: FieldSpec, x: float) -> int:

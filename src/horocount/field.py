@@ -140,10 +140,6 @@ def arch_norm_sq(f: FieldSpec, x: RingElement) -> int:
     return norm(f, x)
 
 
-def add(x: RingElement, y: RingElement) -> RingElement:
-    return RingElement(x.a + y.a, x.b + y.b)
-
-
 def sub(x: RingElement, y: RingElement) -> RingElement:
     return RingElement(x.a - y.a, x.b - y.b)
 
@@ -474,7 +470,6 @@ __all__ = [
     "make_field",
     "norm",
     "arch_norm_sq",
-    "add",
     "sub",
     "mul",
     "conj",

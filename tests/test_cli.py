@@ -15,8 +15,8 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horocount import geodesics
-from horocount.cli import main
+from horocount import counting, geodesics
+from horocount.cli import _cmd_horoballs, _render_json, build_config, main
 from horocount.field import make_field
 from horocount.geodesics import depth_counting
 
@@ -293,6 +293,11 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         (["zeta", "--field", "d=1", "--tolerance", "1e-20"], "too-large"),
         # only count reads a method; depths picks its own and says which
         (["depths", "--field", "1", "--cutoffs", "3", "--method", "mobius"], "stray-method"),
+        # every check would run on N(q) <= 0 and pass having checked nothing
+        (["verify", "--field", "1", "--cutoffs", "0"], "bad-cutoffs"),
+        # zeta and classnum read no cutoffs
+        (["zeta", "--field", "1", "--cutoffs", "10"], "stray-cutoffs"),
+        (["classnum", "--field", "rational", "--cutoffs", "10"], "stray-cutoffs"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text
@@ -399,10 +404,37 @@ def test_verify_passes_on_good_field(capsys):
     assert details["phi-cross-method"] == "brute == mobius == sieve on every integer x <= 150"
 
 
-def test_big_integers_emitted_as_strings(tmp_path):
-    # direct check of the encoder contract on a synthetic row
-    from horocount.cli import _stringify_big_ints
+def test_row_values_beyond_2_53_emitted_as_strings(tmp_path, schema, monkeypatch):
+    def fake_profile(f, x, method):
+        prof = [0] * (int(x) + 1)
+        prof[5], prof[10] = 2**60, 2**50
+        return prof
 
-    assert _stringify_big_ints({"v": 2**60}) == {"v": str(2**60)}
-    assert _stringify_big_ints({"v": 2**50}) == {"v": 2**50}
-    assert _stringify_big_ints([True, 2**60]) == [True, str(2**60)]
+    monkeypatch.setattr(counting, "phi_profile", fake_profile)
+    code, doc = run_json(tmp_path, ["count", "--field", "rational", "--cutoffs", "5,10"])
+    assert code == 0
+    jsonschema.validate(doc, schema)
+    values = [row["value"] for row in doc["rows"]]
+    assert values == ["1152921504606846976", 2**50]
+    assert type(values[1]) is int
+
+
+def test_bools_and_ball_coordinates_keep_their_json_types(tmp_path):
+    code, doc = run_json(tmp_path, ["verify", "--field", "1", "--cutoffs", "20"])
+    assert code == 0
+    assert all(type(row["passed"]) is bool for row in doc["rows"])
+    code, doc = run_json(tmp_path, ["horoballs", "--field", "1", "--cutoffs", "20"], "b.json")
+    assert code == 0
+    assert all(
+        len(row[k]) == 2 and all(type(c) is int for c in row[k])
+        for row in doc["rows"] for k in ("p", "q")
+    )
+
+
+def test_render_json_is_the_dumps_document_in_bounded_memory(traced_peak_mb):
+    config = build_config(["horoballs", "--field", "1", "--cutoffs", "120"])
+    rows, extras = _cmd_horoballs(config)
+    text = _render_json(config, rows, extras)
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    # the parent's walk and chunk list peaked near 12 MB for this 1.2 MB document
+    assert traced_peak_mb(lambda: _render_json(config, rows, extras)) < 6

@@ -229,6 +229,13 @@ def test_phi_profile_entries_are_python_ints(Q, K1):
         assert len(prof) == 31 and all(type(v) is int for v in prof), (f, method)
 
 
+def test_phi_builds_no_profile(Q, traced_peak_mb):
+    # the (x + 1)-entry list of Python ints traced 48 MB at x = 10^6
+    out = []
+    assert traced_peak_mb(lambda: out.append(phi(Q, 10**6))) < 15
+    assert type(out[0]) is int and out[0] == 303963552392  # sum of totients to 10^6
+
+
 @pytest.mark.parametrize("d", ["rational", 1, 5])
 def test_kernel_outputs_are_python_ints(d):
     f = make_field(d)

@@ -23,7 +23,6 @@ from horocount.field import (
     class_number,
     conj,
     ideal_count_coefficients,
-    add,
     kronecker_character,
     make_field,
     mul,
@@ -182,15 +181,12 @@ def test_ring_arith_examples(K1, K3):
 
 def test_add_identity_and_embedding(Q, K1, K3):
     rng = random.Random(3)
-    zero = RingElement(0, 0)
     for f in (Q, K1, K3):
         for _ in range(50):
             b = 0 if f.is_rational else rng.randint(-9, 9)
             x = RingElement(rng.randint(-9, 9), b)
             y = RingElement(rng.randint(-9, 9), 0 if f.is_rational else rng.randint(-9, 9))
-            assert add(x, zero) == x
             for op, pyop in (
-                (add, complex.__add__),
                 (sub, complex.__sub__),
                 (lambda x, y: mul(f, x, y), complex.__mul__),
             ):
