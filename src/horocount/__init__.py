@@ -37,7 +37,6 @@ from .counting import (
     phi_mobius,
 )
 from .geodesics import (
-    Horoball,
     RationalGeodesic,
     SeriesPartialSum,
     check_disjoint,

@@ -45,7 +45,7 @@ COMMANDS = ("count", "zeta", "classnum", "depths", "horoballs", "poincare", "ver
 BIG_INT = 2**53
 # horoballs refuses a bound whose estimated ball count, phi_asymptotic(bound),
 # is past this: just under it (Q to N = 702, d = 1 to 758, d = 3 to 798) one run
-# took 10-19 s on one core of a 2-vCPU VM and peaked at 273-277 MB RSS
+# took 10-23 s on one core of a 2-vCPU VM and peaked at 253-260 MB RSS
 HOROBALL_CEILING = 150_000
 
 
@@ -192,15 +192,14 @@ def _cmd_horoballs(config: RunConfig) -> tuple[list[dict], dict]:
             cx, cy = str(center), "0"
         else:
             cx, cy = str(center[0]), str(center[1])
-        src = ball.source
         rows.append(
             {
-                "p": [src.p.a, src.p.b],
-                "q": [src.q.a, src.q.b],
+                "p": [ball.p.a, ball.p.b],
+                "q": [ball.q.a, ball.q.b],
                 "center_x": cx,
                 "center_y": cy,
                 "diameter": str(ball.diameter),
-                "depth": src.depth,
+                "depth": ball.depth,
                 "field": field,
             }
         )
@@ -219,6 +218,11 @@ def _cmd_poincare(config: RunConfig) -> tuple[list[dict], dict]:
     f = config.field
     s = config.s
     assert s is not None
+    # equal norm bounds give equal sums, whose zero difference would read as
+    # convergence; snap(c^2) increases strictly wherever snap(c) does (c >= 1)
+    bounds = geodesics._series_bounds(config.cutoffs, square=False)
+    if any(b <= a for a, b in zip(bounds, bounds[1:])):
+        raise CliError("bad-cutoffs", f"poincare cutoffs snap to repeated norm bounds {bounds}")
     sums = {
         "relative": geodesics.relative_poincare_partials(f, s, config.cutoffs),
         "parabolic": geodesics.parabolic_poincare_partials(f, s, config.cutoffs),
@@ -253,11 +257,21 @@ def _cmd_poincare(config: RunConfig) -> tuple[list[dict], dict]:
 def _verify_checks(f: FieldSpec, bound: int):
     """Yield (name, passed, detail) for each property check.
 
-    The largest phi profile, the one of series-ordering, is sized first, so
-    a bound past what can be indexed is refused before any check runs.
+    The series-ordering sums, whose parabolic norm histogram up to
+    max(16, bound)^2 is the largest array of the suite, are computed first
+    and reported last, so a bound past what can be indexed or allocated is
+    refused before any check runs.
     """
     cuts = [max(4, bound // 4), max(8, bound // 2), max(16, bound)]
-    counting._profile_bound(cuts[-1])
+    ordering_ok = True
+    for partials in (geodesics.parabolic_poincare_partials, geodesics.relative_poincare_partials):
+        vals_lo = [ps.value for ps in partials(f, 1.2, cuts)]
+        vals_hi = [ps.value for ps in partials(f, 2.4, cuts)]
+        if any(b < a for a, b in zip(vals_lo, vals_lo[1:])):
+            ordering_ok = False
+        if any(h > l for h, l in zip(vals_hi, vals_lo)):
+            ordering_ok = False
+
     x_small = min(bound, 300)
     methods = list(counting._field_methods(f))
     profiles = [counting.phi_profile(f, x_small, method=m) for m in methods]
@@ -267,18 +281,14 @@ def _verify_checks(f: FieldSpec, bound: int):
         f"{' == '.join(methods)} on every integer x <= {x_small}",
     )
 
-    if f.is_rational:
-        z = zeta_K_2(f, 1e-10)
-        ok = abs(z - math.pi**2 / 6) <= 1e-10
-        yield ("zeta-pipelines", ok, "zeta(2) within 1e-10 of pi^2/6")
-    else:
-        z1 = zeta_K_2(f, 1e-10)
-        z2 = zeta_K_2_via_ideal_counts(f, 200_000)
-        yield (
-            "zeta-pipelines",
-            abs(z1 - z2) <= 1e-8,
-            f"character {z1:.12f} vs ideal-count {z2:.12f}",
-        )
+    z1 = zeta_K_2(f, 1e-10)
+    z2 = zeta_K_2_via_ideal_counts(f, 200_000)
+    yield (
+        "zeta-pipelines",
+        abs(z1 - z2) <= 1e-8,
+        f"character {z1:.12f} vs ideal-count {z2:.12f}",
+    )
+    if not f.is_rational:  # kronecker_character is defined for quadratic fields only
         coeffs = ideal_count_coefficients(f, 1000)
         bad = [
             p
@@ -330,14 +340,6 @@ def _verify_checks(f: FieldSpec, bound: int):
         f"{len(report.overlaps)} overlaps",
     )
 
-    ordering_ok = True
-    for partials in (geodesics.relative_poincare_partials, geodesics.parabolic_poincare_partials):
-        vals_lo = [ps.value for ps in partials(f, 1.2, cuts)]
-        vals_hi = [ps.value for ps in partials(f, 2.4, cuts)]
-        if any(b < a for a, b in zip(vals_lo, vals_lo[1:])):
-            ordering_ok = False
-        if any(h > l for h, l in zip(vals_hi, vals_lo)):
-            ordering_ok = False
     yield (
         "series-ordering",
         ordering_ok,

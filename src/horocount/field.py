@@ -36,7 +36,7 @@ class UnsupportedFieldError(ValueError):
     """Raised when an operation is not defined for the given field."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RingElement:
     """The element a + b*omega in the basis (1, omega); b = 0 over Q."""
 

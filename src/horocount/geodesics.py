@@ -5,7 +5,8 @@ Conventions (fixed once):
   * the base horosphere sits at Euclidean height 1 in the upper half space,
     so a fraction p/q has depth log|q|^2 exactly;
   * the depth-0 class is the single fraction class with unit denominator;
-  * a Ford ball is a function of its fraction p/q: its center p/q and
+  * a fraction class is one record, RationalGeodesic(field, p, q), and that
+    record is also its Ford ball: the depth log|q|^2, the center p/q and the
     diameter 1/|q|^2 are read off (p, q), never stored.  The center is a
     Fraction over Q and the pair (re, im/sqrt(d)) of Fractions over
     Q(sqrt(-d)), so squared distances stay rational.
@@ -14,6 +15,7 @@ Conventions (fixed once):
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,13 +51,13 @@ class MixedFieldError(ValueError):
     """Raised when horoballs from different fields are compared."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RationalGeodesic:
-    """A fraction p/q mod O with (p, q) = 1; its depth log|q|^2 is derived
-    from q.
+    """A fraction p/q with (p, q) = 1, which is also its Ford ball: depth
+    log|q|^2, center p/q and diameter 1/|q|^2 are derived from (p, q).
 
-    Use make_geodesic to build the canonical representative; the dataclass
-    itself does not re-normalize.
+    make_geodesic builds the canonical representative mod O and ford_ball
+    keeps the fraction as written; the dataclass itself checks nothing.
     """
 
     field: FieldSpec
@@ -66,30 +68,13 @@ class RationalGeodesic:
     def depth(self) -> float:
         return math.log(arch_norm_sq(self.field, self.q))
 
-
-@dataclass(frozen=True)
-class Horoball:
-    """The Ford circle/sphere of the source fraction p/q: tangent to the
-    boundary at p/q, with diameter 1/|q|^2.
-
-    field, center and diameter are derived from source.  center is a single
-    Fraction over Q; over Q(sqrt(-d)) the pair (re, im/sqrt(d)) of
-    Fractions.
-    """
-
-    source: RationalGeodesic
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.source.field
-
     @property
     def center(self) -> Fraction | tuple[Fraction, Fraction]:
-        return _center_of(self.field, self.source.p, self.source.q)
+        return _center_of(self.field, self.p, self.q)
 
     @property
     def diameter(self) -> Fraction:
-        return Fraction(1, arch_norm_sq(self.field, self.source.q))
+        return Fraction(1, arch_norm_sq(self.field, self.q))
 
 
 @dataclass(frozen=True)
@@ -111,6 +96,14 @@ class DisjointnessReport:
 # Geodesics
 # ----------------------------------------------------------------------
 
+def _checked_fraction(f: FieldSpec, p: RingElement, q: RingElement) -> None:
+    """Refuse q = 0 (the cusp itself) and a pair (p, q) that shares a prime."""
+    if q.is_zero():
+        raise InvalidDenominatorError("q = 0 is the cusp itself, not a fraction")
+    if not is_coprime(f, p, q):
+        raise NonCoprimeError(f"({p!r}, {q!r}) is not a coprime pair")
+
+
 def make_geodesic(f: FieldSpec, p: RingElement, q: RingElement) -> RationalGeodesic:
     """Canonical geodesic for the fraction class p/q mod O.
 
@@ -118,10 +111,7 @@ def make_geodesic(f: FieldSpec, p: RingElement, q: RingElement) -> RationalGeode
     reduced into the residue box of (q), so associates and O-translates of the
     same class all map to the identical object.
     """
-    if q.is_zero():
-        raise InvalidDenominatorError("q = 0 is the cusp itself, not a rational line")
-    if not is_coprime(f, p, q):
-        raise NonCoprimeError(f"({p!r}, {q!r}) is not a coprime pair")
+    _checked_fraction(f, p, q)
     q_canon, u = _canonical_associate(f, q)
     p_canon = reduce_mod(f, mul(f, u, p), principal_ideal(f, q_canon))
     return RationalGeodesic(f, p_canon, q_canon)
@@ -191,25 +181,24 @@ def _center_of(f: FieldSpec, p: RingElement, q: RingElement):
     return Fraction(x, 2 * m), Fraction(y, 2 * m)
 
 
-def horoball_of(g: RationalGeodesic) -> Horoball:
-    """The Ford ball of the geodesic: tangent at p/q, diameter 1/|q|^2."""
-    return Horoball(g)
+def horoball_of(g: RationalGeodesic) -> RationalGeodesic:
+    """The Ford ball of the geodesic, tangent at p/q with diameter 1/|q|^2:
+    g itself, since the record of a fraction is its own ball."""
+    return g
 
 
-def ford_ball(f: FieldSpec, p: RingElement, q: RingElement) -> Horoball:
-    """Ford ball at the fraction p/q as written (no reduction mod O).
+def ford_ball(f: FieldSpec, p: RingElement, q: RingElement) -> RationalGeodesic:
+    """Ford ball at the fraction p/q as written: make_geodesic without the
+    reduction mod O.
 
-    Useful for packing checks over a window of raw fractions; horoball_of
+    Useful for packing checks over a window of raw fractions; make_geodesic
     gives the ball of the canonical class representative instead.
     """
-    if q.is_zero():
-        raise InvalidDenominatorError("q = 0 has no Ford ball")
-    if not is_coprime(f, p, q):
-        raise NonCoprimeError(f"({p!r}, {q!r}) is not a coprime pair")
-    return horoball_of(RationalGeodesic(f, p, q))
+    _checked_fraction(f, p, q)
+    return RationalGeodesic(f, p, q)
 
 
-def canonical_balls(f: FieldSpec, bound: int) -> list[Horoball]:
+def canonical_balls(f: FieldSpec, bound: int) -> list[RationalGeodesic]:
     """One Ford ball per fraction class with 1 <= N(q) <= bound, in order of
     q, then row-major over the box: for each denominator q of unit_orbit_reps,
     the (y, x)-lex maximum of its associates, the ball of each coprime residue
@@ -219,23 +208,22 @@ def canonical_balls(f: FieldSpec, bound: int) -> list[Horoball]:
     for q in unit_orbit_reps(f, bound):
         ys, xs = np.nonzero(coprime_box(f, q))  # row-major: y, then x
         for y, x in zip(ys.tolist(), xs.tolist()):
-            balls.append(horoball_of(RationalGeodesic(f, RingElement(x, y), q)))
+            balls.append(RationalGeodesic(f, RingElement(x, y), q))
     return balls
 
 
-def check_disjoint(balls: list[Horoball]) -> DisjointnessReport:
+def check_disjoint(balls: list[RationalGeodesic]) -> DisjointnessReport:
     """Exact disjointness of horoball interiors, by a sweep along Re.
 
     Two balls tangent to the boundary at c1, c2 with diameters d1, d2 have
     disjoint interiors iff |c1 - c2|^2 >= d1*d2, with equality exactly at
     tangency.  Each verdict is cross-checked against the unimodularity
-    criterion |p1*q2 - p2*q1|^2 = 1 on the source fractions; a pair whose
-    verdict says tangent and whose sources are not unimodular, or the
-    reverse, is a mismatch.  Pairs are reported as (i, j), i < j, in
-    lexicographic order.
+    criterion |p1*q2 - p2*q1|^2 = 1 on the fractions; a pair whose verdict
+    says tangent and whose fractions are not unimodular, or the reverse, is
+    a mismatch.  Pairs are reported as (i, j), i < j, in lexicographic order.
 
     Only pairs that can touch are compared.  A ball is the Ford ball of its
-    source by construction, center p/q and diameter 1/|q|^2, so the identity
+    fraction by construction, center p/q and diameter 1/|q|^2, so the identity
     |p1*q2 - p2*q1|^2 = |c1 - c2|^2 * |q1|^2 * |q2|^2 holds for every pair,
     coprime or not.  A pair with |c1 - c2|^2 > d1*d2 is then neither an
     overlap nor a tangency, and no mismatch either: its determinant has
@@ -256,7 +244,7 @@ def check_disjoint(balls: list[Horoball]) -> DisjointnessReport:
     f = balls[0].field
     if any(ball.field != f for ball in balls):
         raise MixedFieldError("all horoballs must come from the same field")
-    form = [_ford_form(f, ball.source.p, ball.source.q) for ball in balls]
+    form = [_ford_form(f, ball.p, ball.q) for ball in balls]
     dim_weight = 0 if f.is_rational else f.d  # |c|^2 = re^2 + d * (im/sqrt(d))^2
     overlaps: list[tuple[int, int]] = []
     tangencies: list[tuple[int, int]] = []
@@ -276,7 +264,7 @@ def check_disjoint(balls: list[Horoball]) -> DisjointnessReport:
             overlaps.append((i, j))
         elif sign == 0:
             tangencies.append((i, j))
-        a, b = balls[i].source, balls[j].source
+        a, b = balls[i], balls[j]
         cross = sub(mul(f, a.p, b.q), mul(f, a.q, b.p))
         if (sign == 0) != (arch_norm_sq(f, cross) == 1):
             mismatches.append((i, j))
@@ -312,10 +300,15 @@ def check_disjoint(balls: list[Horoball]) -> DisjointnessReport:
 
 def _series_bounds(cutoffs: Sequence[float], square: bool) -> list[int]:
     """The integer norm bound of each cutoff: snap(c), or snap(c^2) when the
-    cutoff is on |c| and the norm is |c|^2."""
+    cutoff is on |c| and the norm is |c|^2.  A bound whose top + 1 float64
+    cells could not be indexed raises OverflowError."""
     if not cutoffs or not all(1 <= c < math.inf for c in cutoffs):
         raise ValueError("need at least one cutoff, each finite and >= 1")
-    return [_snap_to_int(c * c if square else c) for c in cutoffs]
+    bounds = [_snap_to_int(c * c if square else c) for c in cutoffs]
+    top = max(bounds)
+    if top + 1 > sys.maxsize // 8:  # the array would pass ssize_t bytes
+        raise OverflowError(f"a series up to norm {top} needs more cells than this machine can index")
+    return bounds
 
 
 def relative_poincare_partials(
@@ -448,7 +441,6 @@ __all__ = [
     "NonCoprimeError",
     "MixedFieldError",
     "RationalGeodesic",
-    "Horoball",
     "SeriesPartialSum",
     "SeriesVerdict",
     "DisjointnessReport",

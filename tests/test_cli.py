@@ -15,7 +15,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from horocount import counting, geodesics
+from horocount import cli, counting, geodesics
 from horocount.cli import _cmd_horoballs, _render_json, build_config, main
 from horocount.field import make_field
 from horocount.geodesics import depth_counting
@@ -298,6 +298,11 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         # zeta and classnum read no cutoffs
         (["zeta", "--field", "1", "--cutoffs", "10"], "stray-cutoffs"),
         (["classnum", "--field", "rational", "--cutoffs", "10"], "stray-cutoffs"),
+        # the parabolic histogram (182 TiB) is refused before any PASS line
+        (["verify", "--field", "1", "--cutoffs", "5000000"], "too-large"),
+        # every cutoff snaps to one norm bound: three equal sums read as converging
+        (["poincare", "--field", "rational", "--cutoffs", "2,2.1,2.2", "--s", "0.3"], "bad-cutoffs"),
+        (["poincare", "--field", "1", "--cutoffs", "1.1,1.2,1.3", "--s", "0.5"], "bad-cutoffs"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text
@@ -402,6 +407,17 @@ def test_verify_passes_on_good_field(capsys):
     assert all(row["passed"] for row in doc["rows"])
     details = {row["check"]: row["detail"] for row in doc["rows"]}
     assert details["phi-cross-method"] == "brute == mobius == sieve on every integer x <= 150"
+
+
+def test_verify_compares_two_zeta_pipelines_over_q(capsys, monkeypatch):
+    argv = ["verify", "--field", "rational", "--cutoffs", "30", "--output", "-"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == 0
+    real = cli.zeta_K_2_via_ideal_counts
+    monkeypatch.setattr(cli, "zeta_K_2_via_ideal_counts", lambda f, n: real(f, n) + 1e-6)
+    assert main(argv) == 1
+    passed = {row["check"]: row["passed"] for row in json.loads(capsys.readouterr().out)["rows"]}
+    assert [check for check, ok in passed.items() if not ok] == ["zeta-pipelines"]
 
 
 def test_row_values_beyond_2_53_emitted_as_strings(tmp_path, schema, monkeypatch):

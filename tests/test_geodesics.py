@@ -186,9 +186,22 @@ def test_diameter_depth_duality(K1, K3, Q):
                 if not q.is_zero() and is_coprime(f, p, q):
                     break
             ball = horoball_of(make_geodesic(f, p, q))
-            assert abs(float(ball.diameter) - math.exp(-ball.source.depth)) <= 1e-12
-            if norm(f, ball.source.q) > 1:
+            assert abs(float(ball.diameter) - math.exp(-ball.depth)) <= 1e-12
+            if norm(f, ball.q) > 1:
                 assert ball.diameter < 1
+
+
+def test_a_geodesic_is_its_own_ball(Q, K1):
+    for f, q in ((Q, RingElement(3)), (K1, RingElement(1, 2))):
+        g = make_geodesic(f, RingElement(1), q)
+        assert horoball_of(g) is g
+        assert ford_ball(f, g.p, g.q) == g
+
+
+def test_canonical_balls_in_bounded_memory(Q, traced_peak_mb):
+    # 27 398 balls of three slotted records each; the ball list itself
+    # with a per-ball wrapper and instance dicts traced 7.5 MB
+    assert traced_peak_mb(lambda: canonical_balls(Q, 300)) < 4.5
 
 
 def test_check_disjoint_examples(Q):
@@ -236,10 +249,10 @@ def test_canonical_balls_one_per_class(Q, K1, K5):
     for f, bound in ((Q, 30), (K1, 20), (K5, 20)):
         balls = canonical_balls(f, bound)
         assert len(balls) == phi(f, bound)
-        assert len({(b.source.p, b.source.q) for b in balls}) == len(balls)
-        assert all(b == horoball_of(make_geodesic(f, b.source.p, b.source.q)) for b in balls)
+        assert len({(b.p, b.q) for b in balls}) == len(balls)
+        assert all(b == horoball_of(make_geodesic(f, b.p, b.q)) for b in balls)
         # RingElement equality would hide numpy integers, which json.dumps rejects
-        coords = [c for b in balls for e in (b.source.p, b.source.q) for c in (e.a, e.b)]
+        coords = [c for b in balls for e in (b.p, b.q) for c in (e.a, e.b)]
         assert all(type(c) is int for c in coords)
 
 
@@ -266,7 +279,7 @@ def _pairwise_report(balls):
                 overlaps.append((i, j))
             elif tangent:
                 tangencies.append((i, j))
-            cross = sub(mul(f, a.source.p, b.source.q), mul(f, a.source.q, b.source.p))
+            cross = sub(mul(f, a.p, b.q), mul(f, a.q, b.p))
             if tangent != (arch_norm_sq(f, cross) == 1):
                 mismatches.append((i, j))
     return DisjointnessReport(overlaps, tangencies, mismatches)
@@ -288,9 +301,9 @@ def _corrupted(seed):
     f = make_field("rational") if seed % 2 else make_field(1)
     balls = canonical_balls(f, 14 if f.is_rational else 8)
     k = rng.randrange(len(balls))
-    src = balls[k].source
-    moved = RingElement(src.p.a + rng.choice((1, 2)), src.p.b)
-    balls[k] = dataclasses.replace(balls[k], source=dataclasses.replace(src, p=moved))
+    ball = balls[k]
+    moved = RingElement(ball.p.a + rng.choice((1, 2)), ball.p.b)
+    balls[k] = dataclasses.replace(ball, p=moved)
     balls.append(balls[rng.randrange(len(balls))])
     return balls
 
@@ -344,10 +357,10 @@ def test_sweep_oracle_inputs_hit_every_list():
     ties = _SWEEP_INPUTS["ties"]()
     assert len({ball.center[0] for ball in ties}) == 1 < len(ties)
     signs = _SWEEP_INPUTS["raw-Q-signs"]()
-    assert {b.source.q.a < 0 for b in signs} == {True, False}
+    assert {b.q.a < 0 for b in signs} == {True, False}
     associates = _SWEEP_INPUTS["raw-d=3-associates"]()
     f3 = make_field(3)
-    assert any(_canonical_associate(f3, b.source.q)[0] != b.source.q for b in associates)
+    assert any(_canonical_associate(f3, b.q)[0] != b.q for b in associates)
 
 
 @pytest.mark.parametrize("d, target", [("rational", 4), (1, 2)])
@@ -357,7 +370,7 @@ def test_enlarged_ball_shows_as_mismatches(monkeypatch, d, target):
     # an overlap of a unimodular pair, which the cross-check must flag
     f = make_field(d)
     balls = canonical_balls(f, 14 if f.is_rational else 8)
-    (k,) = [i for i, b in enumerate(balls) if arch_norm_sq(f, b.source.q) == target]
+    (k,) = [i for i, b in enumerate(balls) if arch_norm_sq(f, b.q) == target]
     touched = [pair for pair in check_disjoint(balls).tangencies if k in pair]
     assert touched
     ford_form = geodesics._ford_form
@@ -375,18 +388,17 @@ def test_enlarged_ball_shows_as_mismatches(monkeypatch, d, target):
 
 
 def test_replaced_source_moves_the_ball(Q, K3):
-    # center, diameter and depth are read off the source, never stored
+    # center, diameter and depth are read off (p, q), never stored
     ball = ford_ball(Q, RingElement(1), RingElement(2))
-    source = dataclasses.replace(ball.source, p=RingElement(2), q=RingElement(-3))
-    moved = dataclasses.replace(ball, source=source)
+    moved = dataclasses.replace(ball, p=RingElement(2), q=RingElement(-3))
     assert (moved.center, moved.diameter) == (Fraction(-2, 3), Fraction(1, 9))
-    assert moved.source.depth == pytest.approx(math.log(9), abs=1e-12)
+    assert moved.depth == pytest.approx(math.log(9), abs=1e-12)
     ball = ford_ball(K3, RingElement(1), RingElement(2))
     assert (ball.center, ball.diameter) == ((Fraction(1, 2), Fraction(0)), Fraction(1, 4))
     # 1/(1 + omega) = (1 + conj(omega))/3 = 1/2 - sqrt(-3)/6 with omega = (1 + sqrt(-3))/2
-    moved = dataclasses.replace(ball, source=dataclasses.replace(ball.source, q=RingElement(1, 1)))
+    moved = dataclasses.replace(ball, q=RingElement(1, 1))
     assert (moved.center, moved.diameter) == ((Fraction(1, 2), Fraction(-1, 6)), Fraction(1, 3))
-    assert moved.source.depth == pytest.approx(math.log(3), abs=1e-12)
+    assert moved.depth == pytest.approx(math.log(3), abs=1e-12)
     assert moved == ford_ball(K3, RingElement(1), RingElement(1, 1))
 
 
