@@ -1,7 +1,10 @@
 """Command-line surface: every operation behind one executable, with
 machine-readable JSON/CSV output for plots and regression tests.
 
-Commands: count, zeta, classnum, depths, horoballs, poincare, verify.
+The commands are the keys of _COMMANDS, which pairs each with its handler
+and the floor of its cutoffs (None where it takes none).  The parsed
+argparse namespace is the run's configuration: build_config converts the
+field and the cutoffs, and _validate makes the checks argparse cannot.
 JSON output follows the shipped schema (schemas/run-v1.schema.json); CSV is
 the plotting interface with fixed headers.  Row values beyond 2^53 are
 emitted as decimal strings so nothing is rounded downstream.
@@ -16,7 +19,6 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, field as dc_field
 
 from . import counting, geodesics
 from .arith import primes_up_to
@@ -41,7 +43,6 @@ from .ideals import (
 )
 
 SCHEMA_ID = "horocount.run/1"
-COMMANDS = ("count", "zeta", "classnum", "depths", "horoballs", "poincare", "verify")
 BIG_INT = 2**53
 # horoballs refuses a bound whose estimated ball count, phi_asymptotic(bound),
 # is past this: just under it (Q to N = 702, d = 1 to 758, d = 3 to 798) one run
@@ -55,53 +56,35 @@ class CliError(ValueError):
         self.code = code
 
 
-@dataclass
-class RunConfig:
-    field: FieldSpec
-    command: str
-    cutoffs: list[float] = dc_field(default_factory=list)
-    s: float | None = None
-    method: str | None = None
-    output: str = "-"
-    format: str = "json"
-    tolerance: float | None = None
-
-    def validate(self) -> None:
-        if self.command not in COMMANDS:
-            raise CliError("unknown-command", f"unknown command {self.command!r}")
-        if self.command in ("zeta", "classnum") and self.cutoffs:
-            raise CliError("stray-cutoffs", f"{self.command} takes no --cutoffs")
-        if not all(math.isfinite(c) for c in self.cutoffs):
-            raise CliError("bad-cutoffs", "cutoffs must be finite")
-        # depths takes t < 0 (no class has negative depth); a series starts at
-        # |c| = 1, the smallest nonzero element; below 1 verify checks empty sets
-        low = {"count": 0, "horoballs": 0, "verify": 1, "poincare": 1}.get(self.command)
-        if low is not None and any(c < low for c in self.cutoffs):
-            raise CliError("bad-cutoffs", f"{self.command} cutoffs must be >= {low}")
-        if any(b <= a for a, b in zip(self.cutoffs, self.cutoffs[1:])):
-            raise CliError("bad-cutoffs", "cutoffs must be strictly increasing")
-        if self.command == "poincare" and self.s is None:
-            raise CliError("missing-s", "poincare requires --s")
-        if self.command != "poincare" and self.s is not None:
-            raise CliError("stray-s", "--s is only meaningful for poincare")
-        if self.s is not None and not math.isfinite(self.s):
-            raise CliError("bad-s", "--s must be finite")
-        if self.command in ("count", "depths", "horoballs", "poincare", "verify") and not self.cutoffs:
-            raise CliError("missing-cutoffs", f"{self.command} requires --cutoffs")
-        if self.method is not None and self.method not in ("brute", "mobius", "both"):
-            raise CliError("bad-method", f"unknown method {self.method!r}")
-        if self.command != "count" and self.method is not None:
-            raise CliError("stray-method", "--method is only meaningful for count")
-        if self.format not in ("json", "csv"):
-            raise CliError("bad-format", f"unknown format {self.format!r}")
-        if self.command != "zeta" and self.tolerance is not None:
-            raise CliError(
-                "stray-tolerance", f"--tolerance tol={self.tolerance:g} is only meaningful for zeta"
-            )
-        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
-            raise CliError(
-                "bad-tolerance", f"--tolerance tol={self.tolerance:g} is not a positive finite number"
-            )
+def _validate(config: argparse.Namespace) -> None:
+    """The checks argparse cannot make, in order; the first failing one raises."""
+    command, cutoffs = config.command, config.cutoffs
+    low = _COMMANDS[command][1]
+    if low is None and cutoffs:
+        raise CliError("stray-cutoffs", f"{command} takes no --cutoffs")
+    if not all(math.isfinite(c) for c in cutoffs):
+        raise CliError("bad-cutoffs", "cutoffs must be finite")
+    if any(c < low for c in cutoffs):  # no cutoffs are left where low is None
+        raise CliError("bad-cutoffs", f"{command} cutoffs must be >= {low}")
+    if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
+        raise CliError("bad-cutoffs", "cutoffs must be strictly increasing")
+    if command == "poincare" and config.s is None:
+        raise CliError("missing-s", "poincare requires --s")
+    if command != "poincare" and config.s is not None:
+        raise CliError("stray-s", "--s is only meaningful for poincare")
+    if config.s is not None and not math.isfinite(config.s):
+        raise CliError("bad-s", "--s must be finite")
+    if low is not None and not cutoffs:
+        raise CliError("missing-cutoffs", f"{command} requires --cutoffs")
+    if command != "count" and config.method is not None:
+        raise CliError("stray-method", "--method is only meaningful for count")
+    tol = config.tolerance
+    if command != "zeta" and tol is not None:
+        raise CliError("stray-tolerance", f"--tolerance tol={tol:g} is only meaningful for zeta")
+    if tol is not None and not 0 < tol < math.inf:
+        raise CliError(
+            "bad-tolerance", f"--tolerance tol={tol:g} is not a positive finite number"
+        )
 
 
 def _field_record(f: FieldSpec) -> dict:
@@ -125,17 +108,9 @@ def _row(f: FieldSpec, value, method: str, x_or_t, predicted=None, **extra) -> d
 # Command implementations (each returns rows + extras)
 # ----------------------------------------------------------------------
 
-def _methods_for(config: RunConfig) -> list[str]:
-    if config.method in (None, "brute"):
-        return ["brute"]
-    if config.method == "mobius":
-        return ["mobius"]
-    return ["brute", "mobius"]
-
-
-def _cmd_count(config: RunConfig) -> tuple[list[dict], dict]:
+def _cmd_count(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
-    methods = _methods_for(config)
+    methods = ["brute", "mobius"] if config.method == "both" else [config.method or "brute"]
     rows = []
     top = int(config.cutoffs[-1])
     profiles = {m: counting.phi_profile(f, top, method=m) for m in methods}
@@ -145,19 +120,19 @@ def _cmd_count(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, {}
 
 
-def _cmd_zeta(config: RunConfig) -> tuple[list[dict], dict]:
+def _cmd_zeta(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
     tol = config.tolerance if config.tolerance is not None else 1e-10
     row = _row(f, zeta_K_2(f, tol), "character-series", 2.0, tolerance=tol)
     return [row], {"residue": residue_K(f)}
 
 
-def _cmd_classnum(config: RunConfig) -> tuple[list[dict], dict]:
+def _cmd_classnum(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
     return [_row(f, f.h, "reduced-forms", None)], {}
 
 
-def _cmd_depths(config: RunConfig) -> tuple[list[dict], dict]:
+def _cmd_depths(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
     method = counting.resolve_method(f)
     try:
@@ -172,7 +147,7 @@ def _cmd_depths(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, {}
 
 
-def _cmd_horoballs(config: RunConfig) -> tuple[list[dict], dict]:
+def _cmd_horoballs(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
     bound = int(config.cutoffs[-1])
     # a size, not a result: a loose zeta_K(2) keeps its series short
@@ -214,7 +189,7 @@ def _cmd_horoballs(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, extras
 
 
-def _cmd_poincare(config: RunConfig) -> tuple[list[dict], dict]:
+def _cmd_poincare(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
     s = config.s
     assert s is not None
@@ -347,7 +322,7 @@ def _verify_checks(f: FieldSpec, bound: int):
     )
 
 
-def _cmd_verify(config: RunConfig) -> tuple[list[dict], dict]:
+def _cmd_verify(config: argparse.Namespace) -> tuple[list[dict], dict]:
     bound = int(config.cutoffs[-1])
     rows = []
     failures = 0
@@ -358,11 +333,26 @@ def _cmd_verify(config: RunConfig) -> tuple[list[dict], dict]:
     return rows, {"failures": failures}
 
 
+# command -> (handler, cutoff floor); the floor is None where a command takes
+# no cutoffs.  depths takes t < 0 (no class has negative depth); a series
+# starts at |c| = 1, the smallest nonzero element; below 1 verify checks empty sets
+_COMMANDS = {
+    "count": (_cmd_count, 0),
+    "zeta": (_cmd_zeta, None),
+    "classnum": (_cmd_classnum, None),
+    "depths": (_cmd_depths, -math.inf),
+    "horoballs": (_cmd_horoballs, 0),
+    "poincare": (_cmd_poincare, 1),
+    "verify": (_cmd_verify, 1),
+}
+COMMANDS = tuple(_COMMANDS)
+
+
 # ----------------------------------------------------------------------
 # Output encoding
 # ----------------------------------------------------------------------
 
-def _render_json(config: RunConfig, rows: list[dict], extras: dict) -> str:
+def _render_json(config: argparse.Namespace, rows: list[dict], extras: dict) -> str:
     envelope = {
         "schema": SCHEMA_ID,
         "command": config.command,
@@ -389,7 +379,7 @@ _BALL_HEADER = ["p", "q", "center_x", "center_y", "diameter", "depth"]
 _CHECK_HEADER = ["check", "passed", "detail"]
 
 
-def _render_csv(config: RunConfig, rows: list[dict]) -> str:
+def _render_csv(config: argparse.Namespace, rows: list[dict]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     if config.command == "horoballs":
@@ -417,18 +407,10 @@ def _render_csv(config: RunConfig, rows: list[dict]) -> str:
     return buf.getvalue()
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute one command; returns the process exit status."""
-    config.validate()
-    handler = {
-        "count": _cmd_count,
-        "zeta": _cmd_zeta,
-        "classnum": _cmd_classnum,
-        "depths": _cmd_depths,
-        "horoballs": _cmd_horoballs,
-        "poincare": _cmd_poincare,
-        "verify": _cmd_verify,
-    }[config.command]
+    _validate(config)
+    handler = _COMMANDS[config.command][0]
     rows, extras = handler(config)
     text = (
         _render_json(config, rows, extras)
@@ -443,9 +425,7 @@ def run(config: RunConfig) -> int:
                 fh.write(text)
         except OSError as exc:
             raise CliError("unwritable-output", f"cannot write {config.output}: {exc}")
-    if config.command == "verify" and extras.get("failures"):
-        return 1
-    return 0
+    return 1 if extras.get("failures") else 0  # only verify counts failures
 
 
 # ----------------------------------------------------------------------
@@ -483,7 +463,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise CliError("bad-arguments", message)
 
 
-def build_config(argv: list[str]) -> RunConfig:
+def build_config(argv: list[str]) -> argparse.Namespace:
     parser = _ArgumentParser(
         prog="horocount",
         description="Count rational geodesics and horoballs for the modular "
@@ -497,17 +477,10 @@ def build_config(argv: list[str]) -> RunConfig:
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--tolerance", type=float)
-    ns = parser.parse_args(argv)
-    return RunConfig(
-        field=_parse_field(ns.field),
-        command=ns.command,
-        cutoffs=_parse_cutoffs(ns.cutoffs),
-        s=ns.s,
-        method=ns.method,
-        output=ns.output,
-        format=ns.format,
-        tolerance=ns.tolerance,
-    )
+    config = parser.parse_args(argv)
+    config.field = _parse_field(config.field)
+    config.cutoffs = _parse_cutoffs(config.cutoffs)
+    return config
 
 
 def main(argv: list[str] | None = None) -> int:

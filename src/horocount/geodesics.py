@@ -235,8 +235,8 @@ def check_disjoint(balls: list[RationalGeodesic]) -> DisjointnessReport:
     its larger ball, and only a pair found touching gets the cross-check, so
     the report equals that of a comparison of all n(n-1)/2 pairs.
 
-    Every test is exact integer arithmetic on the (X, Y, M) of _ford_form,
-    by cross-multiplication; the cross-check takes its determinant from the
+    The sort key and every test are exact integer arithmetic on the (X, Y, M)
+    of _ford_form, by cross-multiplication; the cross-check takes its determinant from the
     ring arithmetic on (p, q) instead.
     """
     if not balls:
@@ -269,11 +269,10 @@ def check_disjoint(balls: list[RationalGeodesic]) -> DisjointnessReport:
         if (sign == 0) != (arch_norm_sq(f, cross) == 1):
             mismatches.append((i, j))
 
-    order = sorted(range(len(balls)), key=lambda i: Fraction(form[i][0], form[i][2]))
-    # a pair is looked at from its larger ball (by diameter, ties by position)
-    rank = [0] * len(balls)
-    for r, i in enumerate(sorted(order, key=lambda i: -form[i][2])):
-        rank[i] = r
+    # X * S // M orders the centers X/M exactly: two distinct ones differ by at
+    # least 1/(M1*M2) >= 2/S, so their keys stay apart, and equal ones tie
+    scale = 2 * max(m for _, _, m in form) ** 2
+    order = sorted(range(len(balls)), key=lambda i: form[i][0] * scale // form[i][2])
     for k, i in enumerate(order):
         xi, _, mi = form[i]
         for step in (1, -1):
@@ -285,7 +284,8 @@ def check_disjoint(balls: list[RationalGeodesic]) -> DisjointnessReport:
                 # dRe^2 > d_i^2, times 4 * (M_i*M_j)^2
                 if (xj * mi - xi * mj) ** 2 > 4 * mj * mj:
                     break
-                if rank[j] < rank[i]:
+                # a pair is looked at from its larger ball (ties by index)
+                if mj > mi or (mj == mi and j > i):
                     sign = gap(i, j)
                     if sign <= 0:
                         record(min(i, j), max(i, j), sign)

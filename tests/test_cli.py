@@ -221,6 +221,23 @@ def test_csv_headers_fixed(tmp_path):
     assert rows2[0] == ["p", "q", "center_x", "center_y", "diameter", "depth"]
 
 
+def test_verify_csv_has_one_row_per_check(tmp_path):
+    out = tmp_path / "verify.csv"
+    argv = ["verify", "--field", "1", "--cutoffs", "8", "--format", "csv", "--output", str(out)]
+    assert main(argv) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["check", "passed", "detail"]
+    assert [r[0] for r in rows[1:]] == [
+        "phi-cross-method", "zeta-pipelines", "character-coefficients", "totient-product",
+        "mobius-summatory", "mobius-reciprocal", "horoball-packing", "series-ordering",
+    ]
+    assert all(r[1] == "True" and r[2] for r in rows[1:])
+
+
+def test_commands_match_the_schema_enum(schema):
+    assert tuple(schema["properties"]["command"]["enum"]) == cli.COMMANDS
+
+
 def test_csv_rerun_identical_bytes(tmp_path):
     argv = ["depths", "--field", "d=1", "--cutoffs", "1.0,2.0,3.0",
             "--format", "csv"]
@@ -303,6 +320,11 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         # every cutoff snaps to one norm bound: three equal sums read as converging
         (["poincare", "--field", "rational", "--cutoffs", "2,2.1,2.2", "--s", "0.3"], "bad-cutoffs"),
         (["poincare", "--field", "1", "--cutoffs", "1.1,1.2,1.3", "--s", "0.5"], "bad-cutoffs"),
+        # argparse's choices refuse an unknown command, method or format
+        (["bogus", "--field", "1", "--cutoffs", "10"], "bad-arguments"),
+        (["count", "--field", "1", "--cutoffs", "10", "--method", "sieve"], "bad-arguments"),
+        (["count", "--field", "1", "--cutoffs", "10", "--format", "xml"], "bad-arguments"),
+        (["count", "--field", "1", "--cutoffs", "1,x"], "bad-cutoffs"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text
@@ -418,6 +440,44 @@ def test_verify_compares_two_zeta_pipelines_over_q(capsys, monkeypatch):
     assert main(argv) == 1
     passed = {row["check"]: row["passed"] for row in json.loads(capsys.readouterr().out)["rows"]}
     assert [check for check, ok in passed.items() if not ok] == ["zeta-pipelines"]
+
+
+def _failing_checks(capsys, monkeypatch, module, name, replacement):
+    monkeypatch.setattr(module, name, replacement)
+    assert main(["verify", "--field", "1", "--cutoffs", "8", "--output", "-"]) == 1
+    captured = capsys.readouterr()
+    failed = [row["check"] for row in json.loads(captured.out)["rows"] if not row["passed"]]
+    fail_lines = [line for line in captured.err.splitlines() if line.startswith("FAIL")]
+    assert [line.split()[1] for line in fail_lines] == failed
+    return failed
+
+
+def test_verify_fails_on_a_wrong_mobius(capsys, monkeypatch):
+    failed = _failing_checks(capsys, monkeypatch, cli, "mobius_ideal", lambda f, ideal: 0)
+    assert failed == ["mobius-summatory"]
+
+
+def test_verify_fails_on_decreasing_partial_sums(capsys, monkeypatch):
+    def decreasing(f, s, cutoffs):
+        return [
+            geodesics.SeriesPartialSum(s=s, cutoff=c, value=-c, kind="parabolic") for c in cutoffs
+        ]
+
+    failed = _failing_checks(
+        capsys, monkeypatch, geodesics, "parabolic_poincare_partials", decreasing
+    )
+    assert failed == ["series-ordering"]
+
+
+def test_value_error_in_a_command_is_one_invalid_request_line(capsys, monkeypatch):
+    def broken(f):
+        raise ValueError("no residue")
+
+    monkeypatch.setattr(cli, "residue_K", broken)  # the table holds _cmd_zeta itself
+    assert main(["zeta", "--field", "1", "--output", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "horocount-error code=invalid-request message=no residue\n"
 
 
 def test_row_values_beyond_2_53_emitted_as_strings(tmp_path, schema, monkeypatch):

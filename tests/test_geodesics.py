@@ -339,6 +339,12 @@ _SWEEP_INPUTS = {
         [RingElement(q) for q in range(1, 5)],
         [RingElement(0, b) for b in range(-4, 5)],
     ),
+    # (2^60 + 1)/2^60 and 1 round to one float, so only an exact sort key puts
+    # the ball at 1, tangent to the ball at 0, before the one just past it
+    "float-ties": lambda: [
+        ford_ball(make_field("rational"), RingElement(p), RingElement(q))
+        for p, q in ((0, 1), (2**60 + 1, 2**60), (1, 1))
+    ],
     "empty": lambda: [],
     "single": lambda: canonical_balls(make_field(2), 1),
     **{f"corrupted-{seed}": (lambda seed=seed: _corrupted(seed)) for seed in range(20)},
@@ -361,6 +367,10 @@ def test_sweep_oracle_inputs_hit_every_list():
     associates = _SWEEP_INPUTS["raw-d=3-associates"]()
     f3 = make_field(3)
     assert any(_canonical_associate(f3, b.q)[0] != b.q for b in associates)
+    zero, past, one = _SWEEP_INPUTS["float-ties"]()
+    assert float(past.center) == float(one.center) and past.center > one.center
+    assert arch_norm_sq(past.field, past.q) > 2**53
+    assert (0, 2) in _pairwise_report([zero, past, one]).tangencies
 
 
 @pytest.mark.parametrize("d, target", [("rational", 4), (1, 2)])
@@ -385,6 +395,20 @@ def test_enlarged_ball_shows_as_mismatches(monkeypatch, d, target):
     report = check_disjoint(balls)
     assert set(touched) <= set(report.unimodular_mismatches)
     assert set(touched) <= set(report.overlaps)
+
+
+@pytest.mark.parametrize("d", ["rational", 1])
+def test_check_disjoint_builds_no_fraction(monkeypatch, d):
+    f = make_field(d)
+    balls = canonical_balls(f, 40 if f.is_rational else 20)
+    expected = check_disjoint(balls)
+    assert expected.tangencies
+
+    def no_fraction(*args):
+        raise AssertionError("check_disjoint built a Fraction")
+
+    monkeypatch.setattr(geodesics, "Fraction", no_fraction)
+    assert check_disjoint(balls) == expected
 
 
 def test_replaced_source_moves_the_ball(Q, K3):

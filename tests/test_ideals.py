@@ -519,6 +519,16 @@ def test_norm_histogram_matches_enumeration(d):
             assert (relative == hist[:: lattice.norm]).all()
 
 
+@pytest.mark.parametrize("d", ["rational", 1, 5])
+def test_negative_bounds_give_empty_results(d):
+    f = make_field(d)
+    lattice = unit_ideal(f)
+    assert len(norm_histogram(f, lattice, -1)) == 0
+    assert count_and_sum_norms(f, lattice, -1) == (0, 0)
+    for x in (-0.5, -1.5):  # int(x) is 0 and -1: the zero element alone, then no rows
+        assert list(enumerate_norm_le(f, lattice, x)) == []
+
+
 def test_row_partition_independence(K1):
     # aggregating row subsets in any split must reproduce the full totals
     from horocount.ideals import _hnf_arrays, _rows_norm_le
