@@ -15,9 +15,11 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import gc
 import io
 import json
 import math
+import os
 import sys
 
 from . import counting, geodesics
@@ -407,9 +409,29 @@ def _render_csv(config: argparse.Namespace, rows: list[dict]) -> str:
     return buf.getvalue()
 
 
+def _check_output(path: str) -> None:
+    """Refuse an output path that cannot be written before any work is done:
+    its directory must exist and be writable, and the path must not be a
+    directory or a read-only file.  Nothing is created or truncated here, so a
+    command that fails later leaves no file, or the old file as it was."""
+    if path == "-":
+        return
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        problem = f"no directory {folder}"
+    elif os.path.isdir(path):
+        problem = "it is a directory"
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        problem = "permission denied"
+    else:
+        return
+    raise CliError("unwritable-output", f"cannot write {path}: {problem}")
+
+
 def run(config: argparse.Namespace) -> int:
     """Execute one command; returns the process exit status."""
     _validate(config)
+    _check_output(config.output)
     handler = _COMMANDS[config.command][0]
     rows, extras = handler(config)
     text = (
@@ -484,6 +506,14 @@ def build_config(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Every object the collector tracks on entry (about 22 400 after the
+    # import, mostly numpy's) is live: freezing them keeps each later full
+    # collection, including those at interpreter exit, off them.  That saved
+    # 15-25 ms per command (a full collection of them takes 4-7 ms) on one CPU
+    # of a 2-vCPU VM.  Once per process: a later call would also pin whatever
+    # cyclic garbage of an earlier call is still uncollected.
+    if not gc.get_freeze_count():
+        gc.freeze()
     try:
         config = build_config(sys.argv[1:] if argv is None else argv)
         return run(config)

@@ -16,9 +16,10 @@ integer-for-integer:
   factorization, no sieve;
 * mobius -- phi(x) = sum over squarefree ideals I of mu(I) * T_I(x) / N(I),
   with T_I(x) the norm sum over principal ideals inside I; every field, Q
-  included, with the squarefree ideals built as products of distinct primes.
-  One blocked pass over the lattice rows of all of them at once fills a
-  ragged histogram, cell (I, k) for the elements of I of norm k * N(I);
+  included.  ideals.squarefree_ideals builds the squarefree ideals as int64
+  HNF arrays, one prime at a time by the CRT, with mu by construction.  One
+  blocked pass over the lattice rows of all of them at once fills a ragged
+  histogram, cell (I, k) for the elements of I of norm k * N(I);
 * sieve -- the multiplicative fill of n -> sum of Phi(I) over the ideals of
   norm n; every field with h = 1 (Q included), where every ideal is principal.
   arith.multiplicative_fill runs it as a segmented sieve, a block of at most
@@ -29,6 +30,9 @@ resolve_method maps 'auto' to the sieve wherever h = 1 and to mobius
 elsewhere, and rejects a method the field does not support.
 
 Int64 ceilings:
+* the squarefree ideals' HNF entries are at most x, and the CRT step
+  multiplies residues below a prime p <= x, so they are exact for x below
+  3.03 * 10^9;
 * the Moebius inc[n] sums terms mu(I) * (elements of norm n in I) / w * n / N(I),
   each below n times the lattice points of norm n, and the cumsum of any
   kernel is phi(x), about c * x^2 with c <= 3/pi^2, so both are exact for x
@@ -60,7 +64,6 @@ from .field import (
 )
 from .ideals import (
     LatticeIdeal,
-    _hnf_arrays,
     _lattice_points,
     _relative_norm_histograms,
     coprime_box,
@@ -117,9 +120,7 @@ def _mobius_increments(f: FieldSpec, bound: int) -> np.ndarray:
     cell of hits elements of I of norm k * N(I) adds mu(I) * k * hits / w at
     k * N(I); the cells of every squarefree ideal come from one blocked pass.
     """
-    mu, ideals = zip(*squarefree_ideals(f, bound))
-    mu = np.array(mu, dtype=np.int64)
-    alpha, beta, gamma = _hnf_arrays(ideals)
+    mu, alpha, beta, gamma = squarefree_ideals(f, bound)
     inc = np.zeros(bound + 1, dtype=np.int64)
     for owner, k, hits in _relative_norm_histograms(f, alpha, beta, gamma, bound):
         assert not (hits % f.w).any()  # the w units act freely

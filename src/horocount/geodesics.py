@@ -117,11 +117,19 @@ def make_geodesic(f: FieldSpec, p: RingElement, q: RingElement) -> RationalGeode
     return RationalGeodesic(f, p_canon, q_canon)
 
 
-def _snap_to_int(x: float) -> int:
-    """floor(x), except that values within 1e-9 (relative) of an integer snap
-    to it; cutoffs arrive as exp(t) and must not lose exact integer norms."""
+_ULP = 2.0**-52  # the spacing of float64 relative to the value
+
+
+def _snap_to_int(x: float, rel_err: float = 2 * _ULP) -> int:
+    """floor(x), except that an x within its float error rel_err (relative) of
+    an integer snaps to it, so an exact integer norm is not lost to rounding.
+
+    The default is two ulps, the error of a value read or squared in one
+    rounding.  A wider band snaps values truly below an integer up to it: at
+    1e-9 relative, the cutoff 99 999 999.95 became the norm bound 10^8.
+    """
     nearest = round(x)
-    if abs(x - nearest) <= 1e-9 * max(1.0, abs(nearest)):
+    if abs(x - nearest) <= rel_err * max(1.0, abs(nearest)):
         return int(nearest)
     return int(math.floor(x))
 
@@ -133,8 +141,11 @@ def _depth_norm(f: FieldSpec, t: float) -> float:
 
 
 def depth_cutoff(f: FieldSpec, t: float) -> int:
-    """The integer norm cutoff of depth t: _depth_norm snapped to an integer."""
-    return _snap_to_int(_depth_norm(f, t))
+    """The integer norm cutoff of depth t: _depth_norm snapped to an integer
+    within the float error of exp at t.  A t read in one rounding is off by
+    |t| * 2^-53, which exp turns into that relative error, and exp adds about
+    an ulp of its own; twice (|t| + 1) ulps covers both, so exp(log n) gives n."""
+    return _snap_to_int(_depth_norm(f, t), 2 * (abs(t) + 1) * _ULP)
 
 
 def depth_counting(f: FieldSpec, t: float, method: str = "auto") -> int:

@@ -7,9 +7,13 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -417,6 +421,79 @@ def test_unwritable_output(capsys):
     code = main(["classnum", "--field", "d=1", "--output", "/nonexistent-dir/x.json"])
     assert code == 2
     assert "unwritable-output" in capsys.readouterr().err
+
+
+def test_unwritable_output_refused_before_any_check(capsys):
+    argv = ["verify", "--field", "1", "--cutoffs", "12,20,26,40",
+            "--output", "/nonexistent-dir/x.json"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("horocount-error code=unwritable-output ") and err.count("\n") == 1
+    assert "PASS" not in err
+
+
+def test_unwritable_output_never_reaches_the_handler(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def spy(config):
+        calls.append(config.output)
+        return [], {}
+
+    monkeypatch.setitem(cli._COMMANDS, "classnum", (spy, None))
+    for bad in ("/nonexistent-dir/x.json", str(tmp_path), str(tmp_path / "no" / "x.json")):
+        assert main(["classnum", "--field", "1", "--output", bad]) == 2
+        assert "code=unwritable-output" in capsys.readouterr().err
+    assert calls == []
+    good = tmp_path / "x.json"
+    assert main(["classnum", "--field", "1", "--output", str(good)]) == 0
+    assert calls == [str(good)] and good.exists()
+
+
+def test_failed_command_leaves_an_existing_output_as_it_was(tmp_path, capsys):
+    out = tmp_path / "x.json"
+    out.write_text("earlier run\n")
+    code = main(["horoballs", "--field", "d=1", "--cutoffs", "1e30", "--output", str(out)])
+    assert code == 2 and "code=too-large" in capsys.readouterr().err
+    assert out.read_text() == "earlier run\n"
+
+
+_PACKAGE_ROOT = str(Path(cli.__file__).resolve().parents[1])
+
+
+def _python(code: str, *args: str) -> str:
+    """stdout of a fresh interpreter that runs code, away from pytest's heap."""
+    env = dict(os.environ, PYTHONPATH=_PACKAGE_ROOT)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
+def test_main_freezes_the_heap_once_and_import_does_not():
+    code = """
+import gc, os, sys
+import horocount.cli
+counts = [gc.get_freeze_count()]
+for _ in range(2):
+    horocount.cli.main(["classnum", "--field", "1", "--output", os.devnull])
+    counts.append(gc.get_freeze_count())
+print(*counts)
+"""
+    on_import, first, second = map(int, _python(code).split())
+    assert on_import == 0
+    assert first > 0 and second == first
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--field", "1", "--cutoffs", "50,120", "--method", "both", "--format", "csv"],
+    ["verify", "--field", "5", "--cutoffs", "40"],
+])
+def test_output_is_the_same_without_the_freeze(argv):
+    run = "import sys\nfrom horocount.cli import main\nmain(sys.argv[1:])\n"
+    unfrozen = "import gc\ngc.freeze = lambda: None\n" + run
+    outputs = [_python(code, *argv) for code in (run, unfrozen)]
+    if argv[-1] != "csv":
+        outputs = [hash_without_timestamp(json.loads(text)) for text in outputs]
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_passes_on_good_field(capsys):

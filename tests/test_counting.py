@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from horocount import ideals
 from horocount.arith import totient_sieve
 from horocount.counting import (
     METHODS,
@@ -207,6 +208,21 @@ def test_brute_oracle_shares_nothing_with_the_fast_path(d, monkeypatch):
     with pytest.raises(AssertionError, match="fast-path helper"):
         phi_profile(f, 300, "auto")  # the patches reach the other route
     assert phi_profile(f, 300, "brute") == expected
+
+
+@pytest.mark.parametrize("d", ["rational", 1, 5, 23])
+def test_mobius_route_multiplies_no_ideal_objects(d, monkeypatch):
+    """The squarefree ideals come as CRT arrays: with ideal_mul raising, and
+    the prime cache cold, the Moebius profile still runs and equals brute."""
+    f = make_field(d)
+    expected = phi_profile(f, 400, "brute")
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the Moebius route called ideal_mul")
+
+    monkeypatch.setattr(ideals, "ideal_mul", forbidden)
+    ideals.prime_ideals_above.cache_clear()
+    assert phi_profile(f, 400, "mobius") == expected
 
 
 def test_phi_dispatcher(Q, K1, K5):

@@ -146,6 +146,23 @@ def test_depth_counting_matches_phi_on_grid(Q, K1, K3):
             assert depth_counting(f, t) == phi(f, n), (f, n)
 
 
+def test_cutoffs_snap_only_within_float_error(Q, K1):
+    """A depth of log n (2 log n over Q) is the norm cutoff n, and one 0.05
+    below n is n - 1, for n up to 10^9; so are the series cutoffs n and
+    sqrt(n)^2, and n - 0.05.  A 1e-9 band snapped 99 999 999.95 to 10^8."""
+    rng = random.Random(20261019)
+    ns = sorted({rng.randint(2, 10**9) for _ in range(2000)} | {2, 10**8, 10**9})
+    for n in ns:
+        assert geodesics.depth_cutoff(Q, 2 * math.log(n)) == n
+        assert geodesics.depth_cutoff(K1, math.log(n)) == n
+        assert geodesics.depth_cutoff(Q, 2 * math.log(n - 0.05)) == n - 1
+        assert geodesics.depth_cutoff(K1, math.log(n - 0.05)) == n - 1
+    series_bounds = geodesics._series_bounds
+    assert series_bounds([float(n) for n in ns], square=False) == ns
+    assert series_bounds([math.sqrt(n) for n in ns], square=True) == ns
+    assert series_bounds([n - 0.05 for n in ns], square=False) == [n - 1 for n in ns]
+
+
 def test_growth_rate_small_grids(Q, K1):
     slope_q = growth_rate(Q, [2 * math.log(x) for x in (50, 100, 200, 400)])
     assert 0.9 <= slope_q <= 1.1

@@ -419,11 +419,19 @@ def test_mobius_norm_coefficients_match_objects():
             assert m[n] == want, (d, n)
 
 
+def _squarefree_records(f, x):
+    """The (mu, LatticeIdeal) pairs of the arrays of squarefree_ideals."""
+    mu, alpha, beta, gamma = squarefree_ideals(f, x)
+    assert all(a.dtype == np.int64 for a in (mu, alpha, beta, gamma))
+    return [(m, LatticeIdeal(f, a, b, g))
+            for m, a, b, g in zip(mu.tolist(), alpha.tolist(), beta.tolist(), gamma.tolist())]
+
+
 @settings(max_examples=30, deadline=None)
 @given(d=st.integers(1, 400).filter(is_squarefree), x=st.integers(0, 300))
 def test_squarefree_ideals_enumeration(d, x):
     f = make_field(d)
-    found = list(squarefree_ideals(f, x))
+    found = _squarefree_records(f, x)
     ideals = [ideal for _, ideal in found]
     assert len(set(ideals)) == len(ideals)
     want = {
@@ -439,6 +447,45 @@ def test_squarefree_ideals_enumeration(d, x):
         assert mu == mobius_ideal(f, ideal), ideal
         by_norm[ideal.norm] += mu
     assert all(by_norm[n] == m[n] for n in range(1, x + 1))
+
+
+def _squarefree_by_search(f, bound):
+    """(mu, alpha, beta, gamma) of every squarefree ideal of norm <= bound: a
+    depth-first search over the prime ideals in order of norm, building each
+    product of distinct primes with ideal_mul; an oracle that shares no step
+    with the CRT construction of squarefree_ideals."""
+    if bound < 1:
+        return set()
+    primes = sorted(
+        (P for p in primes_up_to(bound) for P in prime_ideals_above(f, p) if P.norm <= bound),
+        key=lambda P: P.norm,
+    )
+    found = set()
+    stack = [(unit_ideal(f), 1, 0)]  # (ideal, mu, index of the next prime to try)
+    while stack:
+        ideal, mu, start = stack.pop()
+        found.add((mu, ideal.alpha, ideal.beta, ideal.gamma))
+        for i in range(start, len(primes)):
+            if ideal.norm * primes[i].norm > bound:
+                break
+            stack.append((ideal_mul(f, ideal, primes[i]), -mu, i + 1))
+    return found
+
+
+# Q and twelve fields with h = 1..6: split, inert and ramified primes below
+# sqrt(x), and split and ramified ones above it (D = 23, 47 from x = 60 on,
+# D = 107, 163 from x = 997 on)
+SEARCH_FIELDS = ["rational", 1, 2, 3, 7, 163, 5, 10, 23, 107, 14, 47, 26]
+
+
+@pytest.mark.parametrize("d", SEARCH_FIELDS)
+def test_squarefree_arrays_equal_the_search(d):
+    f = make_field(d)
+    for x in (1, 2, 10, 60, 997, 3000):
+        arrays = squarefree_ideals(f, x)
+        got = list(zip(*(a.tolist() for a in arrays)))
+        assert len(set(got)) == len(got), (d, x)
+        assert set(got) == _squarefree_by_search(f, x), (d, x)
 
 
 def test_mobius_reciprocal_partial(zeta_fields, Q):
