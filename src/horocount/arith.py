@@ -1,9 +1,9 @@
 """Elementary integer arithmetic helpers shared across the package.
 
-Everything here is exact integer math: sieves, modular square roots,
-factorization of machine-sized integers, and multiplicative_fill, the one
-segmented sieve behind every multiplicative table of the package.  No field
-logic.
+Exact integer math: sieves, modular roots and powers, factorization of
+machine-sized integers, and multiplicative_fill, the one segmented sieve behind
+every multiplicative table of the package; and _norm_bound, the one path from
+a float cutoff to its integer norm bound.  No field logic.
 """
 
 from __future__ import annotations
@@ -26,6 +26,35 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         old_r, old_s, old_t = -old_r, -old_s, -old_t
     return old_r, old_s, old_t
+
+
+def _norm_bound(x: float, ulps: float = 2) -> int:
+    """The integer norm bound of the cutoff x: floor(x), except that an x
+    within ulps float spacings (relative) of an integer is that integer.
+
+    Two ulps is the error of a value read or squared in one rounding; a wider
+    band snaps values truly below an integer up to it (at 1e-9 relative,
+    99 999 999.95 became 10^8).  A negative x, which no command passes,
+    truncates toward 0.  An infinite x raises OverflowError, a NaN ValueError.
+    """
+    nearest = round(x)
+    if abs(x - nearest) <= ulps * 2.0**-52 * max(1.0, abs(nearest)):
+        return int(nearest)
+    return int(x)
+
+
+def _power_mod(base: np.ndarray, exponent, p) -> np.ndarray:
+    """base^exponent mod p elementwise by square-and-multiply, base an int64
+    array and exponent, p nonnegative ints or arrays like it; each product is
+    of two residues below p, so it is exact for p below 3.03 * 10^9."""
+    exponent = np.asarray(exponent)
+    base = base % p
+    out = np.ones_like(base)
+    while exponent.any():
+        out = np.where(exponent & 1, out * base % p, out)
+        base = base * base % p
+        exponent = exponent >> 1
+    return out
 
 
 def smallest_prime_factors(n: int) -> np.ndarray:

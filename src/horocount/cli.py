@@ -5,9 +5,13 @@ The commands are the keys of _COMMANDS, which pairs each with its handler
 and the floor of its cutoffs (None where it takes none).  The parsed
 argparse namespace is the run's configuration: build_config converts the
 field and the cutoffs, and _validate makes the checks argparse cannot.
-JSON output follows the shipped schema (schemas/run-v1.schema.json); CSV is
-the plotting interface with fixed headers.  Row values beyond 2^53 are
-emitted as decimal strings so nothing is rounded downstream.
+A cutoff x becomes the norm bound floor(x), or the integer x is within float
+error of (arith._norm_bound): x is the value itself, squared for the norm of
+|c| in poincare's parabolic series over Q(sqrt(-d)), or e^t (e^(t/2) over Q)
+for a depth t of depths.  JSON output follows the shipped schema
+(schemas/run-v1.schema.json); CSV is the plotting interface with fixed
+headers.  Row values beyond 2^53 are emitted as decimal strings so nothing is
+rounded downstream.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import os
 import sys
 
 from . import counting, geodesics
-from .arith import primes_up_to
+from .arith import _norm_bound, primes_up_to
 from .field import (
     FieldSpec,
     InvalidFieldError,
@@ -114,11 +118,11 @@ def _cmd_count(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
     methods = ["brute", "mobius"] if config.method == "both" else [config.method or "brute"]
     rows = []
-    top = int(config.cutoffs[-1])
-    profiles = {m: counting.phi_profile(f, top, method=m) for m in methods}
-    for x in config.cutoffs:
+    bounds = [_norm_bound(x) for x in config.cutoffs]
+    profiles = {m: counting.phi_profile(f, bounds[-1], method=m) for m in methods}
+    for x, bound in zip(config.cutoffs, bounds):
         predicted = counting.phi_asymptotic(f, x)
-        rows.extend(_row(f, profiles[m][int(x)], m, x, predicted) for m in methods)
+        rows.extend(_row(f, profiles[m][bound], m, x, predicted) for m in methods)
     return rows, {}
 
 
@@ -151,7 +155,7 @@ def _cmd_depths(config: argparse.Namespace) -> tuple[list[dict], dict]:
 
 def _cmd_horoballs(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
-    bound = int(config.cutoffs[-1])
+    bound = _norm_bound(config.cutoffs[-1])
     # a size, not a result: a loose zeta_K(2) keeps its series short
     estimate = counting.phi_asymptotic(f, float(bound), tol=1e-3)
     if estimate > HOROBALL_CEILING:
@@ -325,7 +329,7 @@ def _verify_checks(f: FieldSpec, bound: int):
 
 
 def _cmd_verify(config: argparse.Namespace) -> tuple[list[dict], dict]:
-    bound = int(config.cutoffs[-1])
+    bound = _norm_bound(config.cutoffs[-1])
     rows = []
     failures = 0
     for name, passed, detail in _verify_checks(config.field, bound):
@@ -493,7 +497,9 @@ def build_config(argv: list[str]) -> argparse.Namespace:
     )
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--field", required=True, help="'rational' or d=<squarefree d>")
-    parser.add_argument("--cutoffs", help="comma-separated increasing cutoffs")
+    parser.add_argument("--cutoffs", help="comma-separated increasing cutoffs: norm bounds x, or "
+                        "depths t, bound e^t (e^(t/2) over Q); floored unless within float "
+                        "error of an integer")
     parser.add_argument("--s", type=float, help="series exponent (poincare only)")
     parser.add_argument("--method", choices=["brute", "mobius", "both"], help="count only")
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")

@@ -2,11 +2,11 @@
 
 phi(x) counts the classes p/q mod O with (p, q) = 1 and 0 < N(q) <= x.  It
 changes value only at integer cutoffs, so each method is a kernel that
-returns the increments inc[n], the classes with N(q) = n, for every
-n <= floor(x) in one pass.  _increments is the one dispatcher: it runs a
-kernel.  phi_profile sums the increments into [phi(0), ..., phi(floor(x))],
-phi(x) is its last entry, and the relative Poincare series weighs its terms
-by the increments themselves.  Where two methods apply they must agree
+returns the increments inc[n], the classes with N(q) = n, for every n up to
+the norm bound of x (arith._norm_bound) in one pass.  _increments is the one
+dispatcher: it runs a kernel.  phi_profile sums the increments into
+[phi(0), ..., phi(bound)], phi(x) is its last entry, and the relative Poincare
+series weighs its terms by the increments themselves.  Where two methods apply they must agree
 integer-for-integer:
 
 * brute -- for one denominator q per unit orbit, Q included, count the
@@ -51,6 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import _norm_bound
 from .field import (
     FieldSpec,
     RingElement,
@@ -90,15 +91,15 @@ class CountSample:
 # ----------------------------------------------------------------------
 
 def unit_orbit_reps(f: FieldSpec, x: float) -> list[RingElement]:
-    """One denominator per unit orbit with 1 <= N(q) <= floor(x), in (y, x)-lex
-    order.
+    """One denominator per unit orbit with 1 <= N(q) <= x, in (y, x)-lex
+    order; x is read as its norm bound, arith._norm_bound.
 
     The representative kept is the (y, x)-lexicographic maximum of its w
     associates, the canonical denominator of make_geodesic: a lattice point is
     kept when it is its own canonical associate, tested a block at a time.
     """
     reps: list[RingElement] = []
-    for u, v in _lattice_points(f, unit_ideal(f), int(x)):
+    for u, v in _lattice_points(f, unit_ideal(f), _norm_bound(x)):
         canon, _ = _canonical_associate(f, RingElement(u, v))
         keep = (canon.a == u) & (canon.b == v) & ((u != 0) | (v != 0))
         reps.extend(map(RingElement, u[keep].tolist(), v[keep].tolist()))
@@ -173,22 +174,23 @@ def resolve_method(f: FieldSpec, method: str = "auto") -> str:
 
 
 def _profile_bound(x: float) -> int:
-    """floor(x), the last index of a phi profile up to x; an x whose
-    floor(x) + 1 int64 cells could not be indexed raises OverflowError."""
-    bound = int(x)
-    if bound + 1 > sys.maxsize // 8:  # the int64 array would pass ssize_t bytes
+    """The norm bound of x (arith._norm_bound), the last index of a table of
+    norms up to x, a phi profile's or a series'; a bound whose bound + 1 cells
+    of 8 bytes could not be indexed raises OverflowError."""
+    bound = _norm_bound(x)
+    if bound + 1 > sys.maxsize // 8:  # the array would pass ssize_t bytes
         raise OverflowError(
-            f"phi up to x={x:g} needs {bound + 1} cells, past the largest array "
-            "this machine can index"
+            f"a table of norms up to {x:g} needs {bound + 1} cells, past the "
+            "largest array this machine can index"
         )
     return bound
 
 
 def _increments(f: FieldSpec, x: float, method: str) -> np.ndarray:
-    """inc[n] for 0 <= n <= floor(x), as int64: the classes with N(q) = n, from
-    the kernel that resolve_method picks for method.
+    """inc[n] for 0 <= n <= _profile_bound(x), as int64: the classes with
+    N(q) = n, from the kernel that resolve_method picks for method.
 
-    An x whose floor(x) + 1 int64 cells could not be indexed raises
+    An x whose bound + 1 int64 cells could not be indexed raises
     OverflowError before anything is allocated.
     """
     method = resolve_method(f, method)
@@ -203,9 +205,9 @@ def _increments(f: FieldSpec, x: float, method: str) -> np.ndarray:
 
 
 def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
-    """[phi(0), phi(1), ..., phi(floor(x))] computed in one pass.
+    """[phi(0), phi(1), ..., phi(bound)] in one pass, bound = _profile_bound(x).
 
-    An x whose floor(x) + 1 int64 cells could not be indexed raises
+    An x whose bound + 1 int64 cells could not be indexed raises
     OverflowError before anything is allocated.
     """
     return np.cumsum(_increments(f, x, method)).tolist()
@@ -254,12 +256,12 @@ def _orbit_count_sum(f: FieldSpec, ideal: LatticeIdeal, bound: int) -> tuple[int
 
 def S_count(f: FieldSpec, ideal: LatticeIdeal, x: float) -> int:
     """Number of nonzero principal ideals (q) inside the ideal with N(q) <= x."""
-    return _orbit_count_sum(f, ideal, int(x))[0]
+    return _orbit_count_sum(f, ideal, _norm_bound(x))[0]
 
 
 def T_sum(f: FieldSpec, ideal: LatticeIdeal, x: float) -> int:
     """Sum of N(q) over the principal-ideal set counted by S_count."""
-    return _orbit_count_sum(f, ideal, int(x))[1]
+    return _orbit_count_sum(f, ideal, _norm_bound(x))[1]
 
 
 # ----------------------------------------------------------------------

@@ -20,7 +20,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import is_squarefree, multiplicative_fill
+from .arith import _power_mod, is_squarefree, multiplicative_fill
 
 RATIONAL = "rational"
 IMAGINARY_QUADRATIC = "imaginary_quadratic"
@@ -351,18 +351,12 @@ def _splitting_kinds(f: FieldSpec, p: np.ndarray) -> np.ndarray:
     all kinds are 0, the ramified row of every table.
 
     splitting_type's rule, elementwise, with Euler's criterion by
-    square-and-multiply.  Like splitting_type it does not go through
-    kronecker_character, so the two can be cross-checked.  The squares b*b of
-    residues b < p are exact in int64 for p below 3.03 * 10^9.
+    arith._power_mod, exact for p below 3.03 * 10^9.  Like splitting_type it
+    does not go through kronecker_character, so the two can be cross-checked.
     """
     if f.is_rational:
         return np.zeros_like(p)
-    power, base, exponent = np.ones_like(p), -f.D % p, (p - 1) // 2
-    while exponent.any():
-        power = np.where(exponent & 1, power * base % p, power)
-        base = base * base % p
-        exponent >>= 1
-    kind = np.where(power == 1, 1, -1)
+    kind = np.where(_power_mod(-f.D % p, (p - 1) // 2, p) == 1, 1, -1)
     kind[p == 2] = 1 if f.n % 2 == 0 else -1
     kind[f.D % p == 0] = 0
     return kind

@@ -15,14 +15,14 @@ Conventions (fixed once):
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .counting import _increments, phi, unit_orbit_reps
+from .arith import _norm_bound
+from .counting import _increments, _profile_bound, phi, unit_orbit_reps
 from .field import (
     FieldSpec,
     RingElement,
@@ -117,23 +117,6 @@ def make_geodesic(f: FieldSpec, p: RingElement, q: RingElement) -> RationalGeode
     return RationalGeodesic(f, p_canon, q_canon)
 
 
-_ULP = 2.0**-52  # the spacing of float64 relative to the value
-
-
-def _snap_to_int(x: float, rel_err: float = 2 * _ULP) -> int:
-    """floor(x), except that an x within its float error rel_err (relative) of
-    an integer snaps to it, so an exact integer norm is not lost to rounding.
-
-    The default is two ulps, the error of a value read or squared in one
-    rounding.  A wider band snaps values truly below an integer up to it: at
-    1e-9 relative, the cutoff 99 999 999.95 became the norm bound 10^8.
-    """
-    nearest = round(x)
-    if abs(x - nearest) <= rel_err * max(1.0, abs(nearest)):
-        return int(nearest)
-    return int(math.floor(x))
-
-
 def _depth_norm(f: FieldSpec, t: float) -> float:
     """The norm of depth t: depth log|q|^2 <= t means N(q) <= e^(t/2) over Q
     and N(q) <= e^t over an imaginary quadratic field."""
@@ -141,11 +124,11 @@ def _depth_norm(f: FieldSpec, t: float) -> float:
 
 
 def depth_cutoff(f: FieldSpec, t: float) -> int:
-    """The integer norm cutoff of depth t: _depth_norm snapped to an integer
-    within the float error of exp at t.  A t read in one rounding is off by
-    |t| * 2^-53, which exp turns into that relative error, and exp adds about
-    an ulp of its own; twice (|t| + 1) ulps covers both, so exp(log n) gives n."""
-    return _snap_to_int(_depth_norm(f, t), 2 * (abs(t) + 1) * _ULP)
+    """The norm bound (arith._norm_bound) of _depth_norm at t, in the band of
+    exp's float error: a t read in one rounding is off by |t| * 2^-53, which
+    exp turns into that relative error, and exp adds about an ulp of its own;
+    twice (|t| + 1) ulps covers both, so exp(log n) gives n."""
+    return _norm_bound(_depth_norm(f, t), 2 * (abs(t) + 1))
 
 
 def depth_counting(f: FieldSpec, t: float, method: str = "auto") -> int:
@@ -310,16 +293,11 @@ def check_disjoint(balls: list[RationalGeodesic]) -> DisjointnessReport:
 # ----------------------------------------------------------------------
 
 def _series_bounds(cutoffs: Sequence[float], square: bool) -> list[int]:
-    """The integer norm bound of each cutoff: snap(c), or snap(c^2) when the
-    cutoff is on |c| and the norm is |c|^2.  A bound whose top + 1 float64
-    cells could not be indexed raises OverflowError."""
+    """counting._profile_bound of each cutoff c, or of c^2 when the cutoff is
+    on |c| and the norm is |c|^2; it raises OverflowError past ssize_t."""
     if not cutoffs or not all(1 <= c < math.inf for c in cutoffs):
         raise ValueError("need at least one cutoff, each finite and >= 1")
-    bounds = [_snap_to_int(c * c if square else c) for c in cutoffs]
-    top = max(bounds)
-    if top + 1 > sys.maxsize // 8:  # the array would pass ssize_t bytes
-        raise OverflowError(f"a series up to norm {top} needs more cells than this machine can index")
-    return bounds
+    return [_profile_bound(c * c if square else c) for c in cutoffs]
 
 
 def relative_poincare_partials(

@@ -11,8 +11,9 @@ with the omega row unused, which keeps every formula below valid.
 
 A prime ideal is its lattice too: (p) for a rational prime p that stays
 inert, and over Q; otherwise (p, omega - r) for each root r of the minimal
-polynomial of omega mod p.  Every prime P of an imaginary quadratic field
-has P * conj(P) = (N(P)), which is how an ideal is divided by P.
+polynomial of omega mod p, written down in closed form as
+[[p, -r mod p], [0, 1]].  Every prime P of an imaginary quadratic field has
+P * conj(P) = (N(P)), which is how an ideal is divided by P.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import factorize, primes_up_to, sqrt_mod_prime, xgcd
+from .arith import _norm_bound, _power_mod, factorize, primes_up_to, sqrt_mod_prime, xgcd
 from .field import (
     FieldSpec,
     RingElement,
@@ -299,12 +300,13 @@ def prime_ideals_above(f: FieldSpec, p: int) -> tuple[LatticeIdeal, ...]:
 
     (p) itself when p is inert, and over Q; otherwise (p, omega - r) for each
     root r of the minimal polynomial of omega mod p, smaller root first: two
-    roots when p splits, one when it ramifies.
+    roots when p splits, one when it ramifies.  (p, omega - r) is the ideal
+    [[p, -r mod p], [0, 1]]: it holds omega - r, and its index p is N(P).
     """
     roots = [] if f.is_rational else _minpoly_roots_mod_p(f, p)
     if not roots:
         return (principal_ideal(f, RingElement(p, 0)),)
-    primes = tuple(hnf_from_generators(f, [RingElement(p, 0), RingElement(-r, 1)]) for r in roots)
+    primes = tuple(LatticeIdeal(f, p, -r % p, 1) for r in roots)
     assert all(P.norm == p for P in primes) and len(set(primes)) == len(primes)
     return primes
 
@@ -356,20 +358,6 @@ def mobius_ideal(f: FieldSpec, ideal: LatticeIdeal) -> int:
     return -1 if len(factors) % 2 else 1
 
 
-def _inverse_mod(a: np.ndarray, p) -> np.ndarray:
-    """a^(p - 2) mod p elementwise, the inverse of a modulo a prime p that does
-    not divide a (Fermat), by square-and-multiply on arrays; p is one int or
-    an array like a.  Every product is below p^2."""
-    e = np.asarray(p) - 2
-    base = a % p
-    out = np.ones_like(base)
-    while np.any(e > 0):
-        out = np.where(e & 1, out * base % p, out)
-        base = base * base % p
-        e = e >> 1
-    return out
-
-
 def _times_prime(alpha, beta, gamma, p, b):
     """HNF (alpha, beta, gamma) of I * P for the degree-1 prime P = [[p, b], [0, 1]]
     and p not dividing N(I), elementwise.
@@ -379,7 +367,7 @@ def _times_prime(alpha, beta, gamma, p, b):
     is beta mod alpha (in I) and b * gamma mod p (in P) by the CRT, with
     t = (b * gamma - beta) / alpha mod p; so [[alpha * p, beta + alpha * t], [0, gamma]].
     """
-    t = (b * (gamma % p) - beta) % p * _inverse_mod(alpha, p) % p
+    t = (b * (gamma % p) - beta) % p * _power_mod(alpha, p - 2, p) % p  # 1/alpha: Fermat
     return alpha * p, beta + alpha * t, gamma
 
 
@@ -571,7 +559,7 @@ def enumerate_norm_le(
     f: FieldSpec, lattice: LatticeIdeal, x: float
 ) -> Iterator[RingElement]:
     """Every nonzero lattice element of norm <= x, exactly once, in (y, x)-lex order."""
-    for u, v in _lattice_points(f, lattice, int(x)):
+    for u, v in _lattice_points(f, lattice, _norm_bound(x)):
         nonzero = (u != 0) | (v != 0)
         yield from map(RingElement, u[nonzero].tolist(), v[nonzero].tolist())
 

@@ -7,6 +7,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -101,6 +102,47 @@ def test_depths_rows_name_the_resolved_method(tmp_path, schema, field, method):
     expected = [depth_counting(f, t) for t in cutoffs]
     assert [r["value"] for r in doc["rows"]] == expected
     assert expected[0] == 0 and expected[-1] > 0
+
+
+@pytest.mark.parametrize("field", ["rational", "d=1", "d=5"])
+def test_depths_at_log_n_equal_count_at_n(tmp_path, field):
+    """Depth log n (2 log n over Q) is the norm bound n, so depths there reads
+    what count reads at n, each by its own method."""
+    ns = [2, 97, 100, 4321]
+    scale = 2 if field == "rational" else 1
+    depths = ",".join(repr(scale * math.log(n)) for n in ns)
+    _, by_depth = run_json(tmp_path, ["depths", "--field", field, "--cutoffs", depths], "t.json")
+    norms = ",".join(map(str, ns))
+    _, by_norm = run_json(tmp_path, ["count", "--field", field, "--cutoffs", norms])
+    assert [r["value"] for r in by_depth["rows"]] == [r["value"] for r in by_norm["rows"]]
+
+
+# the runs of each command that read a norm bound from --cutoffs
+NORM_BOUND_RUNS = {
+    "count": ["--method", "both"],
+    "horoballs": [],
+    "verify": [],
+    "poincare": ["--s", "1.5"],
+}
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+@pytest.mark.parametrize("command", NORM_BOUND_RUNS)
+def test_cutoff_within_float_error_of_n_reads_n(tmp_path, capsys, command, n):
+    """A cutoff one ulp below n gives n's rows in every command, and one 0.05
+    below n gives n - 1's, apart from the keys that echo the cutoff.  (Past
+    the ceiling, horoballs refuses both alike.)"""
+    echoed = ("x_or_t", "predicted", "ratio")
+
+    def rows(cutoff):
+        argv = [command, "--field", "rational", "--cutoffs", repr(cutoff)]
+        code, doc = run_json(tmp_path, argv + NORM_BOUND_RUNS[command])
+        if doc is None:
+            return code, None
+        return code, [{k: v for k, v in r.items() if k not in echoed} for r in doc["rows"]]
+
+    assert rows(math.nextafter(n, 0)) == rows(n)
+    assert rows(n - 0.05) == rows(n - 1)
 
 
 def test_zeta_rational(tmp_path, schema):

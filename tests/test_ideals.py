@@ -26,6 +26,7 @@ from horocount.ideals import (
     LatticeIdeal,
     ZeroIdealError,
     _gcd_table,
+    _minpoly_roots_mod_p,
     coprime_box,
     count_and_sum_norms,
     enumerate_norm_le,
@@ -348,6 +349,20 @@ def test_split_primes_multiply_to_p(K1, K3, K5):
         assert len(above) == 2
         prod = ideal_mul(f, above[0], above[1])
         assert prod == principal_ideal(f, RingElement(p, 0))
+
+
+@pytest.mark.parametrize("d", ["rational", 1, 2, 3, 7, 5, 6, 23, 31, 14, 17, 47, 26])
+def test_prime_ideals_in_closed_form_are_the_hnf_of_their_generators(d):
+    """Over Q and fields of class number 1 to 6, for every prime p < 5000,
+    prime_ideals_above gives hnf_from_generators of (p, omega - r) for each
+    root r, or of (p) where there is none."""
+    f = make_field(d)
+    for p in primes_up_to(4999):
+        roots = [] if f.is_rational else _minpoly_roots_mod_p(f, p)
+        gens = [[RingElement(p, 0), RingElement(-r, 1)] for r in roots] or [[RingElement(p, 0)]]
+        # the uncached function, so the test leaves the cache as it found it
+        above = prime_ideals_above.__wrapped__(f, p)
+        assert list(above) == [hnf_from_generators(f, g) for g in gens], (d, p)
 
 
 def test_mobius_examples(K1):
