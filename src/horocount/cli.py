@@ -118,11 +118,10 @@ def _cmd_count(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
     methods = ["brute", "mobius"] if config.method == "both" else [config.method or "brute"]
     rows = []
-    bounds = [_norm_bound(x) for x in config.cutoffs]
-    profiles = {m: counting.phi_profile(f, bounds[-1], method=m) for m in methods}
-    for x, bound in zip(config.cutoffs, bounds):
+    counts = {m: counting.phi_at(f, config.cutoffs, method=m) for m in methods}
+    for i, x in enumerate(config.cutoffs):
         predicted = counting.phi_asymptotic(f, x)
-        rows.extend(_row(f, profiles[m][bound], m, x, predicted) for m in methods)
+        rows.extend(_row(f, counts[m][i], m, x, predicted) for m in methods)
     return rows, {}
 
 
@@ -145,10 +144,10 @@ def _cmd_depths(config: argparse.Namespace) -> tuple[list[dict], dict]:
         cutoffs = [geodesics.depth_cutoff(f, t) for t in config.cutoffs]
     except OverflowError:
         raise CliError("bad-cutoffs", "a depth cutoff overflows e^t") from None
-    profile = counting.phi_profile(f, cutoffs[-1], method=method)
+    counts = counting.phi_at(f, cutoffs, method=method)
     rows = [
-        _row(f, profile[cutoff], method, t, counting.phi_asymptotic(f, geodesics._depth_norm(f, t)))
-        for t, cutoff in zip(config.cutoffs, cutoffs)
+        _row(f, count, method, t, counting.phi_asymptotic(f, geodesics._depth_norm(f, t)))
+        for t, count in zip(config.cutoffs, counts)
     ]
     return rows, {}
 

@@ -4,9 +4,10 @@ phi(x) counts the classes p/q mod O with (p, q) = 1 and 0 < N(q) <= x.  It
 changes value only at integer cutoffs, so each method is a kernel that
 returns the increments inc[n], the classes with N(q) = n, for every n up to
 the norm bound of x (arith._norm_bound) in one pass.  _increments is the one
-dispatcher: it runs a kernel.  phi_profile sums the increments into
-[phi(0), ..., phi(bound)], phi(x) is its last entry, and the relative Poincare
-series weighs its terms by the increments themselves.  Where two methods apply they must agree
+dispatcher: it runs a kernel.  phi_at reads phi at cutoffs from one kernel run
+up to the largest bound, and phi(x) is its one-cutoff case; phi_profile keeps
+every [phi(0), ..., phi(bound)], and the relative Poincare series weighs its
+terms by the increments themselves.  Where two methods apply they must agree
 integer-for-integer:
 
 * brute -- for one denominator q per unit orbit, Q included, count the
@@ -157,7 +158,7 @@ def _field_methods(f: FieldSpec) -> tuple[str, ...]:
 
 
 def resolve_method(f: FieldSpec, method: str = "auto") -> str:
-    """The method phi_profile runs: 'auto' is the fastest the field supports,
+    """The method _increments runs: 'auto' is the fastest the field supports,
     the sieve (the multiplicative fill of Phi) where h = 1 and the Moebius
     route where h > 1.
 
@@ -204,25 +205,36 @@ def _increments(f: FieldSpec, x: float, method: str) -> np.ndarray:
     return _multiplicative_fill(f, bound, _totient_prime_power)
 
 
-def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
-    """[phi(0), phi(1), ..., phi(bound)] in one pass, bound = _profile_bound(x).
+def phi_at(f: FieldSpec, cutoffs: list[float], method: str = "auto") -> list[int]:
+    """phi at each cutoff as Python ints: one kernel run up to the largest norm
+    bound (arith._norm_bound), summed in place and read at each bound; a bound
+    below 1 reads 0.  A bound past what can be indexed raises OverflowError
+    before anything is allocated."""
+    bounds = [_norm_bound(x) for x in cutoffs]
+    inc = _increments(f, max(bounds, default=0), method)
+    np.cumsum(inc, out=inc)
+    return [int(inc[b]) if b >= 1 else 0 for b in bounds]
 
+
+def phi_profile(f: FieldSpec, x: float, method: str = "brute") -> list[int]:
+    """[phi(0), phi(1), ..., phi(bound)] in one pass, bound = _profile_bound(x):
+    the list verify's phi-cross-method, its one caller outside the tests,
+    compares entry by entry at every integer x <= 300; phi_at reads cutoffs.
     An x whose bound + 1 int64 cells could not be indexed raises
-    OverflowError before anything is allocated.
-    """
+    OverflowError before anything is allocated."""
     return np.cumsum(_increments(f, x, method)).tolist()
 
 
 def phi(f: FieldSpec, x: float, method: str = "auto") -> int:
     """phi(x): fractions p/q mod O with (p, q) = 1 and 0 < N(q) <= x.
 
-    The last entry of phi_profile; 'auto' is resolved by resolve_method.
+    The one-cutoff case of phi_at; 'auto' is resolved by resolve_method.
     """
-    method = resolve_method(f, method)
     if x < 1:
+        resolve_method(f, method)
         warnings.warn("phi(x) with x < 1 counts no denominators", RuntimeWarning)
         return 0
-    return int(_increments(f, x, method).sum())
+    return phi_at(f, [x], method)[0]
 
 
 def phi_bruteforce(f: FieldSpec, x: float) -> int:
@@ -237,7 +249,7 @@ def phi_mobius(f: FieldSpec, x: float) -> int:
 
 def totient_summatory(x: int) -> int:
     """sum_{k <= x} EulerTotient(k) by the totient sieve (rational field)."""
-    return phi(make_field("rational"), x, "sieve") if x >= 1 else 0
+    return phi_at(make_field("rational"), [x], "sieve")[0]
 
 
 # ----------------------------------------------------------------------
@@ -297,6 +309,7 @@ __all__ = [
     "CountSample",
     "unit_orbit_reps",
     "resolve_method",
+    "phi_at",
     "phi_profile",
     "phi_bruteforce",
     "phi_mobius",

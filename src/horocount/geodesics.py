@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import _norm_bound
-from .counting import _increments, _profile_bound, phi, unit_orbit_reps
+from .counting import _increments, _profile_bound, phi_at, unit_orbit_reps
 from .field import (
     FieldSpec,
     RingElement,
@@ -137,10 +137,7 @@ def depth_counting(f: FieldSpec, t: float, method: str = "auto") -> int:
     phi at depth_cutoff(f, t); negative t admits no class (minimum depth
     is 0).
     """
-    cutoff = depth_cutoff(f, t)
-    if cutoff < 1:
-        return 0
-    return phi(f, cutoff, method=method)
+    return phi_at(f, [depth_cutoff(f, t)], method)[0]
 
 
 def growth_rate(f: FieldSpec, t_grid: list[float], method: str = "auto") -> float:
@@ -148,7 +145,7 @@ def growth_rate(f: FieldSpec, t_grid: list[float], method: str = "auto") -> floa
     exponent (1 for the modular orbifold, 2 for the Bianchi ones)."""
     if len(t_grid) < 2 or any(b <= a for a, b in zip(t_grid, t_grid[1:])):
         raise ValueError("t_grid must be strictly increasing with >= 2 points")
-    counts = [depth_counting(f, t, method=method) for t in t_grid]
+    counts = phi_at(f, [depth_cutoff(f, t) for t in t_grid], method)
     if any(c <= 0 for c in counts):
         raise ValueError("N_e must be positive on the whole grid")
     slope, _ = np.polyfit(np.asarray(t_grid), np.log(np.asarray(counts, float)), 1)

@@ -600,12 +600,10 @@ def test_value_error_in_a_command_is_one_invalid_request_line(capsys, monkeypatc
 
 
 def test_row_values_beyond_2_53_emitted_as_strings(tmp_path, schema, monkeypatch):
-    def fake_profile(f, x, method):
-        prof = [0] * (int(x) + 1)
-        prof[5], prof[10] = 2**60, 2**50
-        return prof
+    def fake_phi_at(f, cutoffs, method):
+        return [{5: 2**60, 10: 2**50}[x] for x in cutoffs]
 
-    monkeypatch.setattr(counting, "phi_profile", fake_profile)
+    monkeypatch.setattr(counting, "phi_at", fake_phi_at)
     code, doc = run_json(tmp_path, ["count", "--field", "rational", "--cutoffs", "5,10"])
     assert code == 0
     jsonschema.validate(doc, schema)

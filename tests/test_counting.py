@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from horocount import ideals
-from horocount.arith import totient_sieve
+from horocount.arith import _norm_bound, totient_sieve
+from horocount.cli import _cmd_depths, build_config
 from horocount.counting import (
     METHODS,
     CountSample,
@@ -26,6 +27,7 @@ from horocount.counting import (
     exponent_estimate,
     phi,
     phi_asymptotic,
+    phi_at,
     phi_bruteforce,
     phi_mobius,
     phi_profile,
@@ -250,6 +252,30 @@ def test_phi_builds_no_profile(Q, traced_peak_mb):
     out = []
     assert traced_peak_mb(lambda: out.append(phi(Q, 10**6))) < 15
     assert type(out[0]) is int and out[0] == 303963552392  # sum of totients to 10^6
+
+
+def test_depths_reads_phi_at_its_cutoffs_in_bounded_memory(traced_peak_mb):
+    # N(q) <= e^13.85, about 10^6: the profile list alone traced 48 MB
+    config = build_config(["depths", "--field", "rational", "--cutoffs", "27.7"])
+    out = []
+    assert traced_peak_mb(lambda: out.append(_cmd_depths(config))) < 20
+    rows, _ = out[0]
+    assert rows[0]["value"] == phi(config.field, math.exp(27.7 / 2))
+
+
+@pytest.mark.parametrize("d", ["rational", 1, 3, 5, 23])
+def test_phi_at_reads_the_profile_at_each_bound(d):
+    f = make_field(d)
+    cutoffs = [0, 0.5, 1, 37.5, math.nextafter(50, 0), 20, 20.9, 60, 7, -3.0, 3]
+    for method in METHODS if f.h == 1 else ("brute", "mobius"):
+        prof = phi_profile(f, 60, method)
+        expected = [prof[max(_norm_bound(x), 0)] for x in cutoffs]
+        values = phi_at(f, cutoffs, method)
+        assert values == expected and all(type(v) is int for v in values), method
+        assert phi_at(f, [-3.0, 0], method) == [0, 0]  # a bound below 1 never wraps
+        assert phi_at(f, [], method) == []
+    for x in (1, 2.5, 30, math.nextafter(41, 0)):
+        assert phi(f, x) == phi_at(f, [x])[0]
 
 
 @pytest.mark.parametrize("d", ["rational", 1, 5])

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from horocount import geodesics
+from horocount import counting, geodesics
 from horocount.counting import phi, phi_profile, resolve_method, unit_orbit_reps
 from horocount.field import (
     RingElement,
@@ -168,6 +168,19 @@ def test_growth_rate_small_grids(Q, K1):
     assert 0.9 <= slope_q <= 1.1
     slope_1 = growth_rate(K1, [math.log(x) for x in (50, 100, 200, 400)])
     assert 1.8 <= slope_1 <= 2.2
+
+
+def test_growth_rate_runs_one_kernel(Q, K1, monkeypatch):
+    real, calls = counting._increments, []
+    for f, scale in ((Q, 2), (K1, 1)):
+        grid = [scale * math.log(x) for x in (50, 100, 200, 400)]
+        per_t = [depth_counting(f, t) for t in grid]
+        slope = float(np.polyfit(np.asarray(grid), np.log(np.asarray(per_t, float)), 1)[0])
+        calls.clear()
+        monkeypatch.setattr(counting, "_increments", lambda *a: calls.append(a) or real(*a))
+        assert growth_rate(f, grid) == slope
+        assert len(calls) == 1
+        monkeypatch.undo()
 
 
 def test_growth_rate_rejects_bad_grid(Q):
