@@ -17,10 +17,10 @@ integer-for-integer:
   factorization, no sieve;
 * mobius -- phi(x) = sum over squarefree ideals I of mu(I) * T_I(x) / N(I),
   with T_I(x) the norm sum over principal ideals inside I; every field, Q
-  included.  ideals.squarefree_ideals builds the squarefree ideals as int64
-  HNF arrays, one prime at a time by the CRT, with mu by construction.  One
-  blocked pass over the lattice rows of all of them at once fills a ragged
-  histogram, cell (I, k) for the elements of I of norm k * N(I);
+  included.  ideals.squarefree_ideals builds them as int64 HNF arrays by the
+  CRT, mu by construction, chi(p) from field._splitting_kinds as the sieve
+  does.  One blocked pass over the lattice rows of all of them at once fills
+  a ragged histogram, cell (I, k) for the elements of I of norm k * N(I);
 * sieve -- the multiplicative fill of n -> sum of Phi(I) over the ideals of
   norm n; every field with h = 1 (Q included), where every ideal is principal.
   arith.multiplicative_fill runs it as a segmented sieve, a block of at most
@@ -230,7 +230,7 @@ def phi(f: FieldSpec, x: float, method: str = "auto") -> int:
 
     The one-cutoff case of phi_at; 'auto' is resolved by resolve_method.
     """
-    if x < 1:
+    if x < 1 and _norm_bound(max(x, 0.0)) < 1:  # -inf has no bound; 1 - 1 ulp snaps to 1
         resolve_method(f, method)
         warnings.warn("phi(x) with x < 1 counts no denominators", RuntimeWarning)
         return 0

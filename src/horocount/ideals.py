@@ -9,11 +9,11 @@ index of the lattice in O.
 Over Q the ring has rank 1; the ideal (n) is stored as [[|n|, 0], [0, 1]]
 with the omega row unused, which keeps every formula below valid.
 
-A prime ideal is its lattice too: (p) for a rational prime p that stays
-inert, and over Q; otherwise (p, omega - r) for each root r of the minimal
-polynomial of omega mod p, written down in closed form as
-[[p, -r mod p], [0, 1]].  Every prime P of an imaginary quadratic field has
-P * conj(P) = (N(P)), which is how an ideal is divided by P.
+A prime ideal is its lattice in closed form: (p, omega - r) = [[p, -r mod p],
+[0, 1]] for each root r of omega's minimal polynomial mod p, else (p), which
+is [[p, 0], [0, p]] for an inert p and [[p, 0], [0, 1]] over Q.  Factoring
+finds them by the roots (prime_ideals_above); squarefree_ideals reads how p
+splits from field._splitting_kinds, the sieve's rule, and builds none.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .field import (
     FieldSpec,
     RingElement,
     _multiplicative_fill,
+    _splitting_kinds,
     conj,
     mul,
     norm,
@@ -278,7 +279,7 @@ def ring_totient_product(f: FieldSpec, q: RingElement) -> int:
 # Prime ideals and factorization
 # ----------------------------------------------------------------------
 
-_PRIME_CACHE = 4096  # (field, p) entries: every prime below 37 000 of one field
+_PRIME_CACHE = 4096  # (field, p) entries, filled by factor_ideal alone
 
 
 def _minpoly_roots_mod_p(f: FieldSpec, p: int) -> list[int]:
@@ -298,14 +299,15 @@ def _minpoly_roots_mod_p(f: FieldSpec, p: int) -> list[int]:
 def prime_ideals_above(f: FieldSpec, p: int) -> tuple[LatticeIdeal, ...]:
     """The prime ideals of O above the rational prime p, as lattices.
 
-    (p) itself when p is inert, and over Q; otherwise (p, omega - r) for each
-    root r of the minimal polynomial of omega mod p, smaller root first: two
-    roots when p splits, one when it ramifies.  (p, omega - r) is the ideal
-    [[p, -r mod p], [0, 1]]: it holds omega - r, and its index p is N(P).
+    (p) itself when p is inert, [[p, 0], [0, p]], and over Q, [[p, 0], [0, 1]];
+    otherwise (p, omega - r) for each root r of the minimal polynomial of omega
+    mod p, smaller root first: two roots when p splits, one when it ramifies.
+    (p, omega - r) is [[p, -r mod p], [0, 1]]: it holds omega - r, and its
+    index p is N(P).  The root count is this oracle's own splitting rule.
     """
     roots = [] if f.is_rational else _minpoly_roots_mod_p(f, p)
     if not roots:
-        return (principal_ideal(f, RingElement(p, 0)),)
+        return (LatticeIdeal(f, p, 0, 1 if f.is_rational else p),)
     primes = tuple(LatticeIdeal(f, p, -r % p, 1) for r in roots)
     assert all(P.norm == p for P in primes) and len(set(primes)) == len(primes)
     return primes
@@ -379,15 +381,15 @@ def squarefree_ideals(
     bound < 1.
 
     The ideals are the products of distinct primes, built by the CRT on
-    arrays.  The rational primes p <= sqrt(bound) are taken in order, each
-    multiplying every ideal built so far (all prime to p) whose product stays
-    within bound: by a degree-1 prime P = [[p, b], [0, 1]] of prime_ideals_above
-    (_times_prime), and by (p) itself, p * I, where p is inert or P * conj(P)
-    where it splits.  An ideal of norm <= bound has at most one prime above a
-    larger p, of degree 1, so the primes past sqrt(bound) multiply the ideals
-    of norm <= bound // p in one vectorized step, in blocks of pairs.
-    mu(I) = (-1)^k for k primes is known by construction: it flips with each
-    prime and with inert (p), and not with P * conj(P).
+    arrays.  chi(p) comes from one field._splitting_kinds call for all p <=
+    bound, and the roots r of omega's polynomial mod p (over Q the one root 0)
+    only where p splits or ramifies.  The primes p <= sqrt(bound) are taken in
+    order, each multiplying every ideal built so far (all prime to p) whose
+    product stays within bound: by each P = [[p, -r mod p], [0, 1]], mu flips
+    (_times_prime), and, where chi(p) != 0, by (p), p * I, with sign chi(p).
+    An ideal of norm <= bound has at most one prime above a larger p, of
+    degree 1, so the primes past sqrt(bound) multiply the ideals of norm
+    <= bound // p in one vectorized step, in blocks of pairs.
 
     Every HNF entry is at most bound, and the inverses mod p multiply values
     below p <= bound, so int64 is exact for bound below 3.03 * 10^9.
@@ -397,9 +399,11 @@ def squarefree_ideals(
     mu = alpha = gamma = np.ones(1, dtype=np.int64)  # O itself, [[1, 0], [0, 1]]
     beta = np.zeros(1, dtype=np.int64)
     large_p, large_b = [], []
-    for p in primes_up_to(bound):
-        primes = prime_ideals_above(f, p)
-        degree_1 = [P.beta for P in primes if P.norm == p]
+    ps = primes_up_to(bound)
+    for p, kind in zip(ps, _splitting_kinds(f, np.array(ps, dtype=np.int64)).tolist()):
+        roots = [] if kind < 0 else [0] if f.is_rational else _minpoly_roots_mod_p(f, p)
+        assert len(roots) == kind + 1, f"Euler's criterion and the roots disagree at {p}"
+        degree_1 = [-r % p for r in roots]  # P = [[p, -r mod p], [0, 1]]
         if p * p > bound:
             large_p += [p] * len(degree_1)
             large_b += degree_1
@@ -409,10 +413,9 @@ def squarefree_ideals(
         for b in degree_1:
             fit = norms <= bound // p
             parts.append((-mu[fit], *_times_prime(alpha[fit], beta[fit], gamma[fit], p, b)))
-        if len(primes) == 2 or primes[0].norm == p * p:  # (p) is P * conj(P), or inert
+        if kind:  # (p) is P * conj(P), mu kept, or inert, mu flips
             fit = norms <= bound // (p * p)
-            sign = 1 if len(primes) == 2 else -1
-            parts.append((sign * mu[fit], p * alpha[fit], p * beta[fit], p * gamma[fit]))
+            parts.append((kind * mu[fit], p * alpha[fit], p * beta[fit], p * gamma[fit]))
         mu, alpha, beta, gamma = (np.concatenate(c) for c in zip(*parts))
     order = np.argsort(alpha * gamma, kind="stable")
     mu, alpha, beta, gamma = mu[order], alpha[order], beta[order], gamma[order]

@@ -118,6 +118,22 @@ def test_phi_small_x_warns(Q, K1):
             assert phi_mobius(f, 0.25) == 0
 
 
+@pytest.mark.parametrize("d", ["rational", 1, 5])
+def test_phi_reads_a_cutoff_below_1_by_its_norm_bound(d, recwarn):
+    """One ulp below 1 has the norm bound 1, so phi counts N(q) = 1 as phi_at
+    does, with no warning; a bound below 1, -inf included, warns and reads 0;
+    NaN has no bound."""
+    f = make_field(d)
+    x = math.nextafter(1, 0)
+    assert phi(f, x) == phi_at(f, [x])[0] == phi(f, 1) > 0
+    assert not recwarn.list
+    for x in (math.nextafter(1, 0) - 1e-9, 0.0, -3.0, -math.inf):
+        with pytest.warns(RuntimeWarning):
+            assert phi(f, x) == 0
+    with pytest.raises(ValueError):
+        phi(f, math.nan)
+
+
 def test_phi_floors_real_cutoffs(K1):
     assert phi_bruteforce(K1, 5.9) == phi_bruteforce(K1, 5)
 
@@ -180,6 +196,7 @@ FAST_PATH_HELPERS = (
     "factor_ideal",
     "prime_ideals_above",
     "squarefree_ideals",
+    "_splitting_kinds",
     "_multiplicative_fill",
     "multiplicative_fill",
     "factorize",
@@ -214,16 +231,17 @@ def test_brute_oracle_shares_nothing_with_the_fast_path(d, monkeypatch):
 
 @pytest.mark.parametrize("d", ["rational", 1, 5, 23])
 def test_mobius_route_multiplies_no_ideal_objects(d, monkeypatch):
-    """The squarefree ideals come as CRT arrays: with ideal_mul raising, and
-    the prime cache cold, the Moebius profile still runs and equals brute."""
+    """The squarefree ideals come as CRT arrays: with ideal_mul and
+    prime_ideals_above raising, the Moebius profile still runs and equals
+    brute; the builder makes no prime lattice."""
     f = make_field(d)
     expected = phi_profile(f, 400, "brute")
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("the Moebius route called ideal_mul")
+        raise AssertionError("the Moebius route built an ideal object")
 
     monkeypatch.setattr(ideals, "ideal_mul", forbidden)
-    ideals.prime_ideals_above.cache_clear()
+    monkeypatch.setattr(ideals, "prime_ideals_above", forbidden)
     assert phi_profile(f, 400, "mobius") == expected
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from horocount import ideals as ideals_module
 from horocount.arith import is_squarefree, primes_up_to
 from horocount.field import (
     RingElement,
@@ -18,6 +19,7 @@ from horocount.field import (
     mul,
     norm,
     omega_times,
+    splitting_type,
     units,
     zeta_K_2,
 )
@@ -501,6 +503,26 @@ def test_squarefree_arrays_equal_the_search(d):
         got = list(zip(*(a.tolist() for a in arrays)))
         assert len(set(got)) == len(got), (d, x)
         assert set(got) == _squarefree_by_search(f, x), (d, x)
+
+
+@pytest.mark.parametrize("d", [5, 23])
+def test_squarefree_ideals_find_roots_only_where_p_is_not_inert(d, monkeypatch):
+    """The builder reads how p splits from field._splitting_kinds: it finds
+    the roots mod p once for each p <= 2000 that splits or ramifies (by
+    splitting_type, a rule of its own), never for an inert p, and leaves the
+    cold cache of prime_ideals_above untouched."""
+    f = make_field(d)
+    calls = []
+
+    def spy(field, p):
+        calls.append(p)
+        return _minpoly_roots_mod_p(field, p)
+
+    prime_ideals_above.cache_clear()
+    monkeypatch.setattr(ideals_module, "_minpoly_roots_mod_p", spy)
+    squarefree_ideals(f, 2000)
+    assert calls == [p for p in primes_up_to(2000) if splitting_type(f, p) != "inert"]
+    assert prime_ideals_above.cache_info().currsize == 0
 
 
 def test_mobius_reciprocal_partial(zeta_fields, Q):
