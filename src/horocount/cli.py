@@ -237,6 +237,16 @@ def _cmd_poincare(config: argparse.Namespace) -> tuple[list[dict], dict]:
 def _verify_checks(f: FieldSpec, bound: int):
     """Yield (name, passed, detail) for each property check.
 
+    Each check compares two independent rules:
+    * phi-cross-method: the brute (ring_totient per q), mobius and, if h = 1, sieve profiles;
+    * zeta-pipelines: zeta_K(2) by the character series and by the ideal-count fill;
+    * character-coefficients (not over Q): the fill's a_p (_splitting_kinds) and 1 + chi(p);
+    * totient-product: ring_totient, the brute route's Phi(q), and the Euler product;
+    * mobius-summatory: mu over the divisors of (q), both by factor_ideal, and [(q) = O];
+    * mobius-reciprocal: the Moebius fill's sum of mu(I) / N(I)^2 and 1 / zeta_K(2);
+    * horoball-packing: check_disjoint's contact test and the fractions' unimodularity;
+    * series-ordering: the partial sums and their monotonicity in the cutoff and in s.
+
     The series-ordering sums, whose parabolic norm histogram up to
     max(16, bound)^2 is the largest array of the suite, are computed first
     and reported last, so a bound past what can be indexed or allocated is

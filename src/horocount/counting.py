@@ -11,10 +11,10 @@ terms by the increments themselves.  Where two methods apply they must agree
 integer-for-integer:
 
 * brute -- for one denominator q per unit orbit, Q included, count the
-  coprime residues of ideals.coprime_box(f, q), which reads the gcd of each
-  cell's minors with N(q) from a table of gcd(k, N(q)); every field.  It is
-  the oracle, so it shares no logic with the other two: no primes, no
-  factorization, no sieve;
+  coprime residues of ideals.coprime_box(f, q) (ideals.ring_totient), which
+  reads the gcd of each cell's minors with N(q) from a table of gcd(k, N(q));
+  every field.  It is the oracle, so it shares no logic with the other two:
+  no primes, no factorization, no sieve;
 * mobius -- phi(x) = sum over squarefree ideals I of mu(I) * T_I(x) / N(I),
   with T_I(x) the norm sum over principal ideals inside I; every field, Q
   included.  ideals.squarefree_ideals builds them as int64 HNF arrays by the
@@ -68,8 +68,8 @@ from .ideals import (
     LatticeIdeal,
     _lattice_points,
     _relative_norm_histograms,
-    coprime_box,
     count_and_sum_norms,
+    ring_totient,
     squarefree_ideals,
     unit_ideal,
 )
@@ -108,10 +108,11 @@ def unit_orbit_reps(f: FieldSpec, x: float) -> list[RingElement]:
 
 
 def _brute_increments(f: FieldSpec, bound: int) -> np.ndarray:
-    """inc[n] = sum of Phi(q) over orbit representatives with N(q) = n."""
+    """inc[n] = sum of Phi(q) over orbit representatives with N(q) = n, Phi(q) by
+    ring_totient, which verify's totient-product compares with the Euler product."""
     inc = np.zeros(bound + 1, dtype=np.int64)
     for q in unit_orbit_reps(f, bound):
-        inc[norm(f, q)] += np.count_nonzero(coprime_box(f, q))
+        inc[norm(f, q)] += ring_totient(f, q)
     return inc
 
 
@@ -181,7 +182,7 @@ def _profile_bound(x: float) -> int:
     bound = _norm_bound(x)
     if bound + 1 > sys.maxsize // 8:  # the array would pass ssize_t bytes
         raise OverflowError(
-            f"a table of norms up to {x:g} needs {bound + 1} cells, past the "
+            f"a table of norms up to {x:g} needs {bound + 1:.4g} cells, past the "
             "largest array this machine can index"
         )
     return bound

@@ -26,6 +26,9 @@ RATIONAL = "rational"
 IMAGINARY_QUADRATIC = "imaginary_quadratic"
 
 _FIELD_CACHE = 64  # entries of each per-field cache; a run touches a few fields
+# residues of the largest character table, one Python _kronecker call each:
+# D = 4 194 303 took 9.5 s on one CPU of a 2-vCPU VM (zeta: 9.2 s, 95 MB RSS)
+_MAX_PERIOD = 1 << 22
 
 
 class InvalidFieldError(ValueError):
@@ -247,6 +250,8 @@ def _character_table(f: FieldSpec) -> tuple[tuple[int, ...], int]:
     the Abel tail bound used by zeta_K_2.
     """
     D = f.D
+    if D > _MAX_PERIOD:  # refused before the first symbol
+        raise OverflowError(f"chi's table of {D:,} residues is past the {_MAX_PERIOD:,} budget")
     tab = tuple(kronecker_character(f, n) for n in range(D))
     partial = 0
     m = 0
@@ -326,33 +331,16 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
     return _ZETA2 * _pairwise_sum(terms, 1, n_terms + 1)
 
 
-def splitting_type(f: FieldSpec, p: int) -> str:
-    """How the rational prime p splits in O: 'split', 'inert' or 'ramified'.
-
-    Read off the minimal polynomial x^2 - t*x + n of omega mod p, whose
-    discriminant is -D: ramified iff p | D; for p = 2 with D odd, x^2 - x + n
-    has two roots iff n is even; for odd p, Euler's criterion on -D.  This
-    deliberately does not go through kronecker_character, so the two can be
-    cross-checked.
-    """
-    if f.is_rational:
-        raise UnsupportedFieldError("splitting types need an imaginary quadratic field")
-    if f.D % p == 0:
-        return "ramified"
-    if p == 2:
-        return "split" if f.n % 2 == 0 else "inert"
-    euler = pow(-f.D % p, (p - 1) // 2, p)
-    return "split" if euler == 1 else "inert"
-
-
 def _splitting_kinds(f: FieldSpec, p: np.ndarray) -> np.ndarray:
     """chi(p) for an int64 array of primes p: 1 where p splits, -1 where it is
     inert, 0 where it ramifies.  Over Q every p has one prime of norm p, so
     all kinds are 0, the ramified row of every table.
 
-    splitting_type's rule, elementwise, with Euler's criterion by
-    arith._power_mod, exact for p below 3.03 * 10^9.  Like splitting_type it
-    does not go through kronecker_character, so the two can be cross-checked.
+    The one rule, run by the fill and squarefree_ideals: p | D ramifies, p = 2
+    with D odd splits iff n is even (x^2 - x + n has roots mod 2), and an odd p
+    by Euler's criterion on -D (arith._power_mod, exact for p below 3.03 * 10^9).
+    It never calls kronecker_character, its check in the tests and in verify's
+    character-coefficients; squarefree_ideals asserts Tonelli-Shanks agrees.
     """
     if f.is_rational:
         return np.zeros_like(p)
@@ -471,7 +459,6 @@ __all__ = [
     "units",
     "kronecker_character",
     "zeta_K_2",
-    "splitting_type",
     "ideal_count_coefficients",
     "zeta_K_2_via_ideal_counts",
     "class_number",

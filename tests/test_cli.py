@@ -459,6 +459,25 @@ def test_horoballs_past_the_ceiling_refused_at_once(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zeta_past_the_character_table_budget_refused_at_once(tmp_path, capsys):
+    # one Python Kronecker symbol per residue mod D = 10^9 + 7 would take hours
+    out = tmp_path / "x.json"
+    start = time.monotonic()
+    code = main(["zeta", "--field", "1000000007", "--output", str(out)])
+    elapsed = time.monotonic() - start
+    err = capsys.readouterr().err
+    assert code == 2 and elapsed < 5.0
+    assert err.startswith("horocount-error code=too-large ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_profile_refusal_gives_its_cell_count_in_g_form(capsys):
+    # e^355 norms: the exact cell count has 155 digits
+    assert main(["depths", "--field", "rational", "--cutoffs", "700,710"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("horocount-error code=too-large ") and "needs 1.495e+154 cells" in err
+
+
 def test_unwritable_output(capsys):
     code = main(["classnum", "--field", "d=1", "--output", "/nonexistent-dir/x.json"])
     assert code == 2

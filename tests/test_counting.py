@@ -216,14 +216,14 @@ def test_brute_oracle_shares_nothing_with_the_fast_path(d, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the brute oracle reached a fast-path helper")
 
-    patched = 0
+    patched = set()
     for name, module in list(sys.modules.items()):
         if name == "horocount" or name.startswith("horocount."):
             for helper in FAST_PATH_HELPERS:
                 if hasattr(module, helper):
                     monkeypatch.setattr(module, helper, forbidden)
-                    patched += 1
-    assert patched >= len(FAST_PATH_HELPERS)
+                    patched.add(helper)
+    assert patched == set(FAST_PATH_HELPERS)  # a renamed helper keeps no stale guard
     with pytest.raises(AssertionError, match="fast-path helper"):
         phi_profile(f, 300, "auto")  # the patches reach the other route
     assert phi_profile(f, 300, "brute") == expected
@@ -270,6 +270,12 @@ def test_phi_builds_no_profile(Q, traced_peak_mb):
     out = []
     assert traced_peak_mb(lambda: out.append(phi(Q, 10**6))) < 15
     assert type(out[0]) is int and out[0] == 303963552392  # sum of totients to 10^6
+
+
+def test_both_fast_routes_reach_the_known_totient_sums(Q):
+    # sum of the totients to 10^6 and to 10^7 (OEIS A064018)
+    assert phi_at(Q, [10**6], "mobius") == [303963552392]
+    assert phi_at(Q, [10**7], "sieve") == [30396356427242]
 
 
 def test_depths_reads_phi_at_its_cutoffs_in_bounded_memory(traced_peak_mb):

@@ -28,7 +28,6 @@ from horocount.field import (
     mul,
     norm,
     residue_K,
-    splitting_type,
     sub,
     units,
     zeta_K_2,
@@ -493,30 +492,36 @@ def test_residue_examples(Q, K1, K5):
     assert abs(residue_K(K5) - 1.4049629462) < 1e-9
 
 
-def test_splitting_type_examples(K1, K3):
-    assert splitting_type(K1, 2) == "ramified"
-    assert splitting_type(K1, 5) == "split"
-    assert splitting_type(K1, 3) == "inert"
-    assert splitting_type(K3, 3) == "ramified"
-    assert splitting_type(K3, 2) == "inert"  # d = 3 mod 8
-    assert splitting_type(make_field(7), 2) == "split"  # d = 7 mod 8
+def test_splitting_type_examples(Q, K1, K3):
+    def kind(f, p):
+        return int(_splitting_kinds(f, np.array([p], dtype=np.int64))[0])
+
+    assert kind(K1, 2) == 0  # ramified
+    assert kind(K1, 5) == 1  # split
+    assert kind(K1, 3) == -1  # inert
+    assert kind(K3, 3) == 0
+    assert kind(K3, 2) == -1  # d = 3 mod 8
+    assert kind(make_field(7), 2) == 1  # d = 7 mod 8
+    primes = np.array(primes_up_to(1000), dtype=np.int64)
+    assert not _splitting_kinds(Q, primes).any()  # one prime of norm p over every p
 
 
 # the 20 fields pinned by test_counting.py::test_mobius_equals_brute_every_class_number
 PINNED_FIELDS = (1, 2, 3, 7, 11, 19, 43, 5, 6, 10, 13, 15, 22, 23, 14, 17, 21, 47, 79, 26)
 
 
-def test_vectorised_splitting_kinds_match_splitting_type(monkeypatch):
-    """The fill's splitting kinds are splitting_type's, prime by prime, and
-    like it they never reach the Kronecker symbol they are checked against."""
+def test_vectorised_splitting_kinds_match_kronecker_character(monkeypatch):
+    """The fill's splitting kinds, by Euler's criterion, are chi(p) by the
+    Kronecker symbol (reciprocity), prime by prime, and they never reach
+    kronecker_character themselves."""
+    primes = primes_up_to(20_000)
+    fields = [make_field(d) for d in PINNED_FIELDS]
+    expected = [[kronecker_character(f, p) for p in primes] for f in fields]
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the splitting kinds reached kronecker_character")
 
     monkeypatch.setattr(field_module, "kronecker_character", forbidden)
-    primes = primes_up_to(20_000)
-    name = {1: "split", -1: "inert", 0: "ramified"}
-    for d in PINNED_FIELDS:
-        f = make_field(d)
-        kinds = _splitting_kinds(f, np.array(primes, dtype=np.int64))
-        assert [name[k] for k in kinds.tolist()] == [splitting_type(f, p) for p in primes], d
+    monkeypatch.setattr(field_module, "_kronecker", forbidden)
+    for f, want in zip(fields, expected):
+        assert _splitting_kinds(f, np.array(primes, dtype=np.int64)).tolist() == want, f

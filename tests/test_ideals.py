@@ -15,11 +15,11 @@ from horocount import ideals as ideals_module
 from horocount.arith import is_squarefree, primes_up_to
 from horocount.field import (
     RingElement,
+    kronecker_character,
     make_field,
     mul,
     norm,
     omega_times,
-    splitting_type,
     units,
     zeta_K_2,
 )
@@ -508,9 +508,9 @@ def test_squarefree_arrays_equal_the_search(d):
 @pytest.mark.parametrize("d", [5, 23])
 def test_squarefree_ideals_find_roots_only_where_p_is_not_inert(d, monkeypatch):
     """The builder reads how p splits from field._splitting_kinds: it finds
-    the roots mod p once for each p <= 2000 that splits or ramifies (by
-    splitting_type, a rule of its own), never for an inert p, and leaves the
-    cold cache of prime_ideals_above untouched."""
+    the roots mod p once for each p <= 2000 that splits or ramifies (by the
+    Kronecker symbol, a rule of its own), never for an inert p, and leaves
+    the cold cache of prime_ideals_above untouched."""
     f = make_field(d)
     calls = []
 
@@ -521,7 +521,7 @@ def test_squarefree_ideals_find_roots_only_where_p_is_not_inert(d, monkeypatch):
     prime_ideals_above.cache_clear()
     monkeypatch.setattr(ideals_module, "_minpoly_roots_mod_p", spy)
     squarefree_ideals(f, 2000)
-    assert calls == [p for p in primes_up_to(2000) if splitting_type(f, p) != "inert"]
+    assert calls == [p for p in primes_up_to(2000) if kronecker_character(f, p) != -1]
     assert prime_ideals_above.cache_info().currsize == 0
 
 

@@ -8,11 +8,12 @@ trace or norm of omega cannot hide in both sides of a comparison.
 import cmath
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from horocount.arith import primes_up_to
-from horocount.field import RingElement, conj, make_field, mul, norm, omega_times, splitting_type
+from horocount.field import RingElement, _splitting_kinds, conj, make_field, mul, norm, omega_times
 from horocount.geodesics import _center_of
 from horocount.ideals import (
     _hnf2,
@@ -80,9 +81,9 @@ def test_minpoly_roots_equal_a_scan(d):
 @pytest.mark.parametrize("d", DS)
 def test_splitting_type_agrees_with_the_root_count(d):
     f = make_field(d)
-    for p in primes_up_to(200):
-        want = {2: "split", 1: "ramified", 0: "inert"}[len(root_scan(d, p))]
-        assert splitting_type(f, p) == want, (d, p)
+    primes = primes_up_to(200)
+    kinds = _splitting_kinds(f, np.array(primes, dtype=np.int64)).tolist()
+    assert kinds == [len(root_scan(d, p)) - 1 for p in primes], d
 
 
 @settings(max_examples=300, deadline=None)
