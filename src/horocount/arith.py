@@ -100,7 +100,19 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def is_squarefree(n: int) -> bool:
-    return n >= 1 and all(e == 1 for _, e in factorize(n))
+    """Whether n >= 1 has no square factor but 1, by trial division while
+    f^3 <= m, m what is left of n: then every prime factor of m exceeds the
+    cube root of m, so m is 1, a prime, two distinct primes or a prime squared."""
+    if n < 1:
+        return False
+    m, f = n, 2
+    while f * f * f <= m:
+        if m % f == 0:
+            m //= f
+            if m % f == 0:
+                return False
+        f += 1 if f == 2 else 2
+    return m == 1 or isqrt(m) ** 2 != m
 
 
 # The most numbers filled at once, in int64 arrays of 512 kB.  Below it a

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import gc
 import io
@@ -139,15 +140,18 @@ def _cmd_classnum(config: argparse.Namespace) -> tuple[list[dict], dict]:
 
 def _cmd_depths(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
-    method = counting.resolve_method(f)
     try:
         cutoffs = [geodesics.depth_cutoff(f, t) for t in config.cutoffs]
     except OverflowError:
         raise CliError("bad-cutoffs", "a depth cutoff overflows e^t") from None
+    # the predictions first: zeta_K(2) refuses a D past its budget before
+    # resolve_method computes h
+    predicted = [counting.phi_asymptotic(f, geodesics._depth_norm(f, t)) for t in config.cutoffs]
+    method = counting.resolve_method(f)
     counts = counting.phi_at(f, cutoffs, method=method)
     rows = [
-        _row(f, count, method, t, counting.phi_asymptotic(f, geodesics._depth_norm(f, t)))
-        for t, count in zip(config.cutoffs, counts)
+        _row(f, count, method, t, pred)
+        for t, count, pred in zip(config.cutoffs, counts, predicted)
     ]
     return rows, {}
 
@@ -198,8 +202,9 @@ def _cmd_poincare(config: argparse.Namespace) -> tuple[list[dict], dict]:
     f = config.field
     s = config.s
     assert s is not None
-    # equal norm bounds give equal sums, whose zero difference would read as
-    # convergence; snap(c^2) increases strictly wherever snap(c) does (c >= 1)
+    # two cutoffs of one norm bound are one partial sum twice, a zero increment
+    # and a slope fitted to a repeated point; snap(c^2) increases strictly
+    # wherever snap(c) does (c >= 1), so the relative bounds decide for both
     bounds = geodesics._series_bounds(config.cutoffs, square=False)
     if any(b <= a for a, b in zip(bounds, bounds[1:])):
         raise CliError("bad-cutoffs", f"poincare cutoffs snap to repeated norm bounds {bounds}")
@@ -217,15 +222,8 @@ def _cmd_poincare(config: argparse.Namespace) -> tuple[list[dict], dict]:
     extras: dict = {}
     if len(config.cutoffs) >= 3:
         extras["verdicts"] = {
-            kind: {
-                "verdict": v.verdict,
-                "cauchy_difference": v.cauchy_difference,
-                "growth_exponent": v.growth_exponent,
-                "protocol": v.protocol,
-            }
-            for kind, v in (
-                (k, geodesics.convergence_verdict(ps)) for k, ps in sums.items()
-            )
+            kind: dataclasses.asdict(geodesics.convergence_verdict(f, ps))
+            for kind, ps in sums.items()
         }
     return rows, extras
 
@@ -390,6 +388,7 @@ def _render_json(config: argparse.Namespace, rows: list[dict], extras: dict) -> 
 
 
 _PLOT_HEADER = ["x_or_t", "value", "predicted", "ratio"]
+_SERIES_HEADER = ["x_or_t", "kind", "value"]
 _BALL_HEADER = ["p", "q", "center_x", "center_y", "diameter", "depth"]
 _CHECK_HEADER = ["check", "passed", "detail"]
 
@@ -408,6 +407,10 @@ def _render_csv(config: argparse.Namespace, rows: list[dict]) -> str:
         writer.writerow(_CHECK_HEADER)
         for r in rows:
             writer.writerow([r["check"], r["passed"], r["detail"]])
+    elif config.command == "poincare":
+        writer.writerow(_SERIES_HEADER)
+        for r in rows:
+            writer.writerow([r["x_or_t"], r["kind"], r["value"]])
     else:
         writer.writerow(_PLOT_HEADER)
         for r in rows:

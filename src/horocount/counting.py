@@ -170,7 +170,7 @@ def resolve_method(f: FieldSpec, method: str = "auto") -> str:
         return _field_methods(f)[-1]
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method not in _field_methods(f):
+    if method == "sieve" and f.h > 1:  # brute and mobius run on every field: h is not read
         raise UnsupportedFieldError(f"the totient sieve needs h = 1, and {f!r} has h = {f.h}")
     return method
 
@@ -285,9 +285,12 @@ def phi_asymptotic(f: FieldSpec, x: float, tol: float = 1e-10) -> float:
     """Main term Res_K * x^2 / (2 h zeta_K(2)).
 
     For imaginary quadratic fields the h in Res_K cancels the explicit h,
-    collapsing to pi * x^2 / (w * zeta_K(2) * sqrt(D)).
+    collapsing to pi * x^2 / (w * zeta_K(2) * sqrt(D)).  zeta_K(2) comes
+    first, so a D past its character table's budget raises OverflowError
+    before h, linear in D, is computed.
     """
-    return residue_K(f) * x * x / (2.0 * f.h * zeta_K_2(f, tol))
+    zeta = zeta_K_2(f, tol)
+    return residue_K(f) * x * x / (2.0 * f.h * zeta)
 
 
 def exponent_estimate(samples: list[CountSample]) -> float:

@@ -32,7 +32,7 @@ _MAX_PERIOD = 1 << 22
 
 
 class InvalidFieldError(ValueError):
-    """Raised when a field parameter is not a positive squarefree integer."""
+    """Raised when a field parameter is not a positive squarefree integer below 2^61."""
 
 
 class UnsupportedFieldError(ValueError):
@@ -110,13 +110,15 @@ class FieldSpec:
 
 
 def make_field(d: int | str) -> FieldSpec:
-    """Build a FieldSpec from a positive squarefree d, or the marker 'rational'."""
+    """Build a FieldSpec from a positive squarefree d < 2^61, or the marker 'rational'."""
     if d == RATIONAL:
         return FieldSpec(RATIONAL, None)
     if not isinstance(d, int) or isinstance(d, bool):
         raise InvalidFieldError(f"field parameter must be 'rational' or an integer, got {d!r}")
     if d <= 0:
         raise InvalidFieldError(f"d must be positive, got {d}")
+    if d >= 2**61:  # below it D <= 4d fits in int64, and is_squarefree takes d^(1/3) steps
+        raise InvalidFieldError(f"d must be below 2^61, got {d}")
     if not is_squarefree(d):
         raise InvalidFieldError(f"d must be squarefree, got {d}")
     return FieldSpec(IMAGINARY_QUADRATIC, d)

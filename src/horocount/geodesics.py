@@ -9,7 +9,9 @@ Conventions (fixed once):
     record is also its Ford ball: the depth log|q|^2, the center p/q and the
     diameter 1/|q|^2 are read off (p, q), never stored.  The center is a
     Fraction over Q and the pair (re, im/sqrt(d)) of Fractions over
-    Q(sqrt(-d)), so squared distances stay rational.
+    Q(sqrt(-d)), so squared distances stay rational;
+  * a series converges iff s > delta, its critical exponent, and diverges at
+    s = delta (Dal'bo, Otal & Peigne, Israel J. Math. 118 (2000)).
 """
 
 from __future__ import annotations
@@ -374,31 +376,33 @@ def parabolic_poincare_partial(f: FieldSpec, s: float, cutoff: float) -> SeriesP
 
 
 # ----------------------------------------------------------------------
-# Empirical convergence verdicts
+# Convergence verdicts, by the critical exponent
 # ----------------------------------------------------------------------
 
 _PROTOCOL = (
-    "diverges: monotone growth of the partial sums with log-log slope > 0.1; "
-    "converges: last Cauchy increment < 1e-6, or increments strictly decreasing "
-    "while the slope stays <= 0.1; inconclusive otherwise"
+    "theorem (Dal'bo, Otal & Peigne 2000): the series converges iff s > delta, the "
+    "critical exponent, and diverges at s = delta; relative delta = 1 over Q and 2 "
+    "over Q(sqrt(-d)), parabolic delta = rank(O)/2 = 1/2 over Q and 1 over Q(sqrt(-d))"
 )
 
 
 @dataclass(frozen=True)
 class SeriesVerdict:
-    verdict: str  # converges | diverges | inconclusive
+    verdict: str  # converges | diverges
     cauchy_difference: float
     growth_exponent: float | None  # None unless every sum is positive and finite
     protocol: str = _PROTOCOL
 
 
-def convergence_verdict(sums: list[SeriesPartialSum]) -> SeriesVerdict:
-    """Classify a series from partial sums at >= 3 increasing cutoffs.
-
-    Divergence is not decidable from finite sums; the verdict names its
-    protocol so downstream consumers never see a bare boolean.  The log-log
-    slope is fitted only when every partial sum is positive and finite;
-    otherwise growth_exponent is None and the Cauchy tests decide.
+def convergence_verdict(f: FieldSpec, sums: list[SeriesPartialSum]) -> SeriesVerdict:
+    """The verdict on a series over f from its partial sums at >= 3 cutoffs: it
+    converges iff s > delta, its critical exponent, and diverges at s = delta
+    (Dal'bo, Otal & Peigne, Israel J. Math. 118 (2000)).  For the relative
+    series delta is 1 for PSL(2, Z) and 2 for a Bianchi group; the parabolic
+    series is the cusp stabilizer's, with delta = rank(O)/2 (Elstrodt,
+    Grunewald & Mennicke, "Groups Acting on Hyperbolic Space", 1998).  The sums
+    give data only: the last increment, and the log-log slope where every sum
+    is positive and finite.
     """
     if len(sums) < 3:
         raise ValueError("need partial sums at >= 3 cutoffs")
@@ -406,21 +410,13 @@ def convergence_verdict(sums: list[SeriesPartialSum]) -> SeriesVerdict:
     if len({ps.kind for ps in ordered}) > 1 or len({ps.s for ps in ordered}) > 1:
         raise ValueError("partial sums must share the same series and exponent")
     values = [ps.value for ps in ordered]
-    cuts = [ps.cutoff for ps in ordered]
-    diffs = [b - a for a, b in zip(values, values[1:])]
     slope = None
     if all(0.0 < v < math.inf for v in values):
-        slope = float(np.polyfit(np.log(cuts), np.log(values), 1)[0])
-    cauchy = diffs[-1]
-    if slope is not None and slope > 0.1:
-        verdict = "diverges"
-    elif cauchy < 1e-6:
-        verdict = "converges"
-    elif all(b < a for a, b in zip(diffs, diffs[1:])):
-        verdict = "converges"
-    else:
-        verdict = "inconclusive"
-    return SeriesVerdict(verdict=verdict, cauchy_difference=cauchy, growth_exponent=slope)
+        slope = float(np.polyfit(np.log([ps.cutoff for ps in ordered]), np.log(values), 1)[0])
+    rank = 1 if f.is_rational else 2  # of O as a lattice
+    delta = rank if ordered[0].kind == "relative" else rank / 2
+    verdict = "converges" if ordered[0].s > delta else "diverges"
+    return SeriesVerdict(verdict, cauchy_difference=values[-1] - values[-2], growth_exponent=slope)
 
 
 __all__ = [

@@ -223,17 +223,17 @@ def test_criterion_11_zeta_cross_validation():
 def test_criterion_12_poincare_series_behavior():
     rel_cuts = (500, 1000, 2000)
     conv = convergence_verdict(
-        [relative_poincare_partial(K1, 2.5, c) for c in rel_cuts]
+        K1, [relative_poincare_partial(K1, 2.5, c) for c in rel_cuts]
     )
     div = convergence_verdict(
-        [relative_poincare_partial(K1, 1.5, c) for c in rel_cuts]
+        K1, [relative_poincare_partial(K1, 1.5, c) for c in rel_cuts]
     )
     par_cuts = (125, 250, 500)
     par_hi = convergence_verdict(
-        [parabolic_poincare_partial(K1, 1.5, c) for c in par_cuts]
+        K1, [parabolic_poincare_partial(K1, 1.5, c) for c in par_cuts]
     )
     par_lo = convergence_verdict(
-        [parabolic_poincare_partial(K1, 0.8, c) for c in par_cuts]
+        K1, [parabolic_poincare_partial(K1, 0.8, c) for c in par_cuts]
     )
     ok = (
         conv.verdict == "converges"

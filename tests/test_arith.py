@@ -50,3 +50,15 @@ def test_fill_is_the_same_for_every_block_size(d, table, monkeypatch):
     for block in (1, 7, 64):
         monkeypatch.setattr(arith, "_FILL_BLOCK", block)
         assert np.array_equal(_multiplicative_fill(f, 3000, table), want), block
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.integers(1, 10**6), square=st.integers(1, 3000), seed=st.integers(0, 2**32 - 1))
+@example(base=1, square=1, seed=0)
+@example(base=999983 * 1000003, square=1, seed=0)  # two primes above the cube root
+@example(base=1, square=999983, seed=1)  # a prime squared above the cube root
+def test_is_squarefree_matches_factorize(base, square, seed):
+    # the cube-root trial division against the full factorization; half the
+    # cases carry a square factor by construction (seed 1 does, seed 0 not)
+    n = base * (square * square if random.Random(seed).random() < 0.5 else square)
+    assert arith.is_squarefree(n) == all(e == 1 for _, e in factorize(n))

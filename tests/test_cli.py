@@ -21,6 +21,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from horocount import cli, counting, geodesics
+from horocount import field as field_module
 from horocount.cli import _cmd_horoballs, _render_json, build_config, main
 from horocount.field import make_field
 from horocount.geodesics import depth_counting
@@ -183,6 +184,23 @@ def test_poincare_verdicts_present(tmp_path):
     assert "protocol" in doc["verdicts"]["relative"]
 
 
+@pytest.mark.parametrize(
+    "field, s, relative, parabolic",
+    [
+        # convergent series whose sums on these cutoffs still grow like divergent ones
+        ("1", "2.05", "converges", "converges"),
+        ("1", "1.05", "diverges", "converges"),
+        ("5", "2.05", "converges", "converges"),
+    ],
+)
+def test_poincare_verdicts_near_the_thresholds(tmp_path, field, s, relative, parabolic):
+    _, doc = run_json(
+        tmp_path, ["poincare", "--field", field, "--cutoffs", "100,300,1000", "--s", s]
+    )
+    assert doc["verdicts"]["relative"]["verdict"] == relative
+    assert doc["verdicts"]["parabolic"]["verdict"] == parabolic
+
+
 def test_poincare_builds_each_series_once(tmp_path, monkeypatch):
     # one run of the phi increments and one lattice histogram at the largest
     # cutoff serve every smaller cutoff
@@ -265,6 +283,18 @@ def test_csv_headers_fixed(tmp_path):
           "--output", str(out2)])
     rows2 = list(csv.reader(io.StringIO(out2.read_text())))
     assert rows2[0] == ["p", "q", "center_x", "center_y", "diameter", "depth"]
+
+
+def test_poincare_csv_names_the_series_of_each_row(tmp_path):
+    out = tmp_path / "series.csv"
+    argv = ["poincare", "--field", "1", "--cutoffs", "10,20,40", "--s", "2.5",
+            "--format", "csv", "--output", str(out)]
+    assert main(argv) == 0
+    rows = list(csv.reader(io.StringIO(out.read_text())))
+    assert rows[0] == ["x_or_t", "kind", "value"]
+    assert [row[:2] for row in rows[1:3]] == [["10.0", "relative"], ["10.0", "parabolic"]]
+    _, doc = run_json(tmp_path, argv[:-4])
+    assert [float(row[2]) for row in rows[1:]] == [r["value"] for r in doc["rows"]]
 
 
 def test_verify_csv_has_one_row_per_check(tmp_path):
@@ -467,6 +497,28 @@ def test_zeta_past_the_character_table_budget_refused_at_once(tmp_path, capsys):
     elapsed = time.monotonic() - start
     err = capsys.readouterr().err
     assert code == 2 and elapsed < 5.0
+    assert err.startswith("horocount-error code=too-large ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["count", "--cutoffs", "10"],
+        ["horoballs", "--cutoffs", "10"],
+        ["depths", "--cutoffs", "2.0"],
+    ],
+)
+def test_huge_discriminant_refused_before_the_class_number(tmp_path, capsys, monkeypatch, argv):
+    # zeta_K(2)'s character-table budget refuses D = 10^9 + 7 before h, whose
+    # reduced forms take seconds there, is read
+    def no_class_number(D):
+        raise AssertionError(f"h computed for D = {D}")
+
+    monkeypatch.setattr(field_module, "_reduced_form_count", no_class_number)
+    out = tmp_path / "x.json"
+    assert main([argv[0], "--field", "1000000007", *argv[1:], "--output", str(out)]) == 2
+    err = capsys.readouterr().err
     assert err.startswith("horocount-error code=too-large ") and err.count("\n") == 1
     assert not out.exists()
 

@@ -83,6 +83,22 @@ def test_make_field_rejects(bad):
         make_field(bad)
 
 
+def test_make_field_refuses_d_past_int64_at_once():
+    # squarefreeness of a 23-digit d by trial division up to sqrt(d) never ended
+    for d in (2**61, 99999999999999999999999):
+        with pytest.raises(InvalidFieldError, match="below 2"):
+            make_field(d)
+
+
+def test_make_field_just_below_the_bound():
+    # 2^61 - 1 is prime: the cube-root trial division runs to its end, and D,
+    # d itself (d = 3 mod 4), fits in int64
+    f = make_field(2**61 - 1)
+    assert f.D == 2**61 - 1 < 2**63
+    with pytest.raises(InvalidFieldError, match="squarefree"):
+        make_field(1073741789**2)  # the largest prime below 2^30, squared
+
+
 def test_discriminant_rule_matches_residue_class():
     for d in range(1, 60):
         if not is_squarefree(d):

@@ -560,26 +560,26 @@ def test_relative_series_rational_s2(Q):
     vals = [ps.value for ps in sums]
     assert vals[0] < vals[1] < vals[2]
     assert vals[2] - vals[1] < 1e-6
-    assert convergence_verdict(sums).verdict == "converges"
+    assert convergence_verdict(Q, sums).verdict == "converges"
 
 
 def test_relative_series_gaussian_divergence_trend(K1):
     # s = 1.5 < 2: partial sums track cutoff^(1/2)
     sums = [relative_poincare_partial(K1, 1.5, c) for c in (250, 500, 1000, 2000)]
-    v = convergence_verdict(sums)
+    v = convergence_verdict(K1, sums)
     assert v.verdict == "diverges"
     assert 0.3 <= v.growth_exponent <= 0.7
 
 
 def test_parabolic_series_examples(K1, Q):
     conv = [parabolic_poincare_partial(K1, 1.5, c) for c in (60, 120, 240)]
-    assert convergence_verdict(conv).verdict == "converges"
+    assert convergence_verdict(K1, conv).verdict == "converges"
     div = [parabolic_poincare_partial(K1, 0.8, c) for c in (60, 120, 240)]
-    v = convergence_verdict(div)
+    v = convergence_verdict(K1, div)
     assert v.verdict == "diverges"
     assert 0.25 <= v.growth_exponent <= 0.55  # tracks cutoff^(2-2s) = c^0.4
     rat = [parabolic_poincare_partial(Q, 1.0, c) for c in (200, 400, 800)]
-    assert convergence_verdict(rat).verdict == "converges"
+    assert convergence_verdict(Q, rat).verdict == "converges"
 
 
 def test_theorem_factorization_surrogate(K1):
@@ -595,38 +595,68 @@ def test_theorem_factorization_surrogate(K1):
             surrogate.append(
                 SeriesPartialSum(s=s, cutoff=ps.cutoff, value=ps.value * factor, kind="relative")
             )
-        assert convergence_verdict(rel).verdict == expected
-        assert convergence_verdict(surrogate).verdict == expected
+        assert convergence_verdict(K1, rel).verdict == expected
+        assert convergence_verdict(K1, surrogate).verdict == expected
 
 
-def test_verdict_protocol_attached_and_cases():
-    mk = lambda vals, cuts: [
-        SeriesPartialSum(s=1.0, cutoff=c, value=v, kind="relative")
+# the critical exponent delta of each series: the relative series is Gamma's,
+# the parabolic one the cusp stabilizer's, a lattice of rank 1 over Q and 2
+# over Q(sqrt(-d))
+CRITICAL_EXPONENTS = {
+    ("rational", "relative"): 1.0,
+    ("rational", "parabolic"): 0.5,
+    (1, "relative"): 2.0,
+    (1, "parabolic"): 1.0,
+    (5, "relative"): 2.0,  # h = 2
+    (5, "parabolic"): 1.0,
+}
+
+
+@pytest.mark.parametrize("d, kind", sorted(CRITICAL_EXPONENTS, key=str))
+def test_verdict_is_s_against_the_critical_exponent(d, kind):
+    # real partial sums, on cutoffs where the growth of the sums of every
+    # convergent series here (s = delta + 0.05) still looks like divergence
+    f = make_field(d)
+    partials = relative_poincare_partials if kind == "relative" else parabolic_poincare_partials
+    delta = CRITICAL_EXPONENTS[d, kind]
+    for s, expected in ((delta - 0.05, "diverges"), (delta, "diverges"),
+                        (delta + 0.05, "converges")):
+        sums = partials(f, s, [100, 300, 1000])
+        assert all(ps.kind == kind for ps in sums)
+        assert convergence_verdict(f, sums).verdict == expected, (d, kind, s)
+
+
+def test_verdict_protocol_attached_and_cases(Q, K1):
+    # the verdict is s against delta whatever the sums do; they give data only
+    mk = lambda s, vals, cuts=(10, 20, 40): [
+        SeriesPartialSum(s=s, cutoff=c, value=v, kind="relative")
         for v, c in zip(vals, cuts)
     ]
-    v = convergence_verdict(mk([1.0, 2.0, 4.0], [10, 20, 40]))
-    assert v.verdict == "diverges" and "slope" in v.protocol
-    v = convergence_verdict(mk([1.0, 1.0 + 1e-9, 1.0 + 2e-9], [10, 20, 40]))
+    v = convergence_verdict(Q, mk(1.5, [1.0, 2.0, 4.0]))
     assert v.verdict == "converges"
-    v = convergence_verdict(mk([10.0, 10.001, 10.003], [10, 20, 40]))
-    assert v.verdict == "inconclusive"
+    assert v.cauchy_difference == 2.0 and v.growth_exponent == pytest.approx(1.0)
+    assert "critical exponent" in v.protocol and "Dal'bo" in v.protocol
+    assert convergence_verdict(K1, mk(1.5, [1.0, 1.0 + 1e-9, 1.0 + 2e-9])).verdict == "diverges"
+    assert convergence_verdict(K1, mk(2.0, [10.0, 10.001, 10.003])).verdict == "diverges"
     with pytest.raises(ValueError):
-        convergence_verdict(mk([1.0, 2.0], [10, 20]))
+        convergence_verdict(Q, mk(1.5, [1.0, 2.0], [10, 20]))
+    with pytest.raises(ValueError):
+        convergence_verdict(Q, mk(1.5, [1.0, 2.0, 3.0])[:2] + mk(2.5, [4.0], [40]))
 
 
-def test_verdict_without_slope_on_nonpositive_sums():
-    # all-zero sums (an underflowed parabolic series) have no log-log slope;
-    # the Cauchy test decides and no RuntimeWarning is raised
+def test_verdict_without_slope_on_nonpositive_sums(K1):
+    # all-zero sums (an underflowed parabolic series) have no log-log slope,
+    # and no RuntimeWarning is raised
     mk = lambda vals: [
         SeriesPartialSum(s=1000.0, cutoff=c, value=v, kind="parabolic")
         for v, c in zip(vals, (10, 20, 40))
     ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        v = convergence_verdict(mk([0.0, 0.0, 0.0]))
+        v = convergence_verdict(K1, mk([0.0, 0.0, 0.0]))
     assert v.verdict == "converges" and v.growth_exponent is None
     assert v.cauchy_difference == 0.0
-    assert convergence_verdict(mk([0.0, 1.0, 2.0])).growth_exponent is None
+    assert convergence_verdict(K1, mk([0.0, 1.0, 2.0])).growth_exponent is None
 
 
 def test_series_cutoff_validation(K1):
