@@ -245,11 +245,13 @@ def _verify_checks(f: FieldSpec, bound: int):
     * horoball-packing: check_disjoint's contact test and the fractions' unimodularity;
     * series-ordering: the partial sums and their monotonicity in the cutoff and in s.
 
-    The series-ordering sums, whose parabolic norm histogram up to
-    max(16, bound)^2 is the largest array of the suite, are computed first
-    and reported last, so a bound past what can be indexed or allocated is
-    refused before any check runs.
+    Two things are computed first, so that a request past a budget is refused
+    before any check runs: zeta_K(2), whose character table refuses a huge D
+    before the series' 'auto' method and phi-cross-method read h, then the
+    series-ordering sums, reported last, whose parabolic norm histogram up to
+    max(16, bound)^2 is the largest array of the suite.
     """
+    z1 = zeta_K_2(f, 1e-10)
     cuts = [max(4, bound // 4), max(8, bound // 2), max(16, bound)]
     ordering_ok = True
     for partials in (geodesics.parabolic_poincare_partials, geodesics.relative_poincare_partials):
@@ -269,7 +271,6 @@ def _verify_checks(f: FieldSpec, bound: int):
         f"{' == '.join(methods)} on every integer x <= {x_small}",
     )
 
-    z1 = zeta_K_2(f, 1e-10)
     z2 = zeta_K_2_via_ideal_counts(f, 200_000)
     yield (
         "zeta-pipelines",
@@ -314,7 +315,7 @@ def _verify_checks(f: FieldSpec, bound: int):
     recip = mobius_reciprocal_partial(f, 10_000)
     yield (
         "mobius-reciprocal",
-        abs(recip - 1.0 / zeta_K_2(f, 1e-10)) <= 1e-3,
+        abs(recip - 1.0 / z1) <= 1e-3,
         f"partial sum {recip:.6f} vs 1/zeta_K(2)",
     )
 

@@ -35,6 +35,7 @@ from .field import (
     sub,
 )
 from .ideals import (
+    _HISTOGRAM_BLOCK,
     InvalidDenominatorError,
     coprime_box,
     is_coprime,
@@ -310,18 +311,20 @@ def relative_poincare_partials(
     quadratic case and q^(-2s) over Q.  The weight w[n] (sum of Phi(q) over
     N(q) = n) is the phi increment at n, from one kernel run up to the
     largest cutoff by the method resolve_method picks for 'auto'; each sum
-    is a dot product over a prefix of the same arrays.  An s so negative
+    is a dot product over a prefix of the same arrays.  The work is two
+    float64 arrays of top + 1 cells, top the largest norm bound: the weights
+    and the terms, which are powered in place.  An s so negative
     that a term overflows gives a non-finite value (inf, or nan where a zero
     weight meets an infinite term), without a warning.
     """
     bounds = _series_bounds(cutoffs, square=False)
     top = max(bounds)
     weights = _increments(f, top, "auto").astype(np.float64)
-    n = np.arange(top + 1, dtype=np.float64)
-    n[0] = 1.0
     exponent = 2.0 * s if f.is_rational else s
+    terms = np.arange(top + 1, dtype=np.float64)  # n, with n[0] = 1, then n^(-exponent)
+    terms[0] = 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = n ** (-exponent)
+        terms **= -exponent
         return [
             SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(weights[: b + 1], terms[: b + 1])),
                              kind="relative")
@@ -337,26 +340,29 @@ def parabolic_poincare_partials(
     half-space distance between height-1 points, d = 2 * arcsinh(|c| / 2).
 
     One norm histogram of O up to the largest cutoff; each sum is a dot
-    product over a prefix of it.  The work is three float64 arrays of
-    top + 1 cells, top the largest norm bound: the histogram, t = |c|/2 and
-    the terms, which are built in place; t is dropped before the power.  As
-    for the relative series, an s so negative that a term overflows gives a
+    product over a prefix of it.  The work is two float64 arrays of top + 1
+    cells, top the largest norm bound: the histogram, counted in floats, and
+    the terms, built in place a block of t = |c|/2 at a time.  As for the
+    relative series, an s so negative that a term overflows gives a
     non-finite value, without a warning.
     """
     bounds = _series_bounds(cutoffs, square=not f.is_rational)
     top = max(bounds)
-    hist = norm_histogram(f, unit_ideal(f), top).astype(np.float64)
+    hist = norm_histogram(f, unit_ideal(f), top, _dtype=np.float64)
     # e^(-2s*arcsinh(t)) = (t + sqrt(1 + t^2))^(-2s) with t = |c|/2, built in place
-    t = np.arange(top + 1, dtype=np.float64)  # N(c), then |c| (N(c) over Q), then t
-    if not f.is_rational:
-        np.sqrt(t, out=t)
-    t /= 2.0
+    terms = np.empty(top + 1, dtype=np.float64)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        terms = np.multiply(t, t)
-        np.add(1.0, terms, out=terms)
-        np.sqrt(terms, out=terms)
-        np.add(t, terms, out=terms)
-        del t
+        for lo in range(0, top + 1, _HISTOGRAM_BLOCK):
+            # N(c), then |c| (N(c) over Q), then t
+            t = np.arange(lo, min(lo + _HISTOGRAM_BLOCK, top + 1), dtype=np.float64)
+            if not f.is_rational:
+                np.sqrt(t, out=t)
+            t /= 2.0
+            block = terms[lo : lo + t.size]
+            np.multiply(t, t, out=block)
+            np.add(1.0, block, out=block)
+            np.sqrt(block, out=block)
+            np.add(t, block, out=block)
         terms **= -2.0 * s
         return [
             SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(hist[1 : b + 1], terms[1 : b + 1])),

@@ -449,9 +449,12 @@ def ideal_divisors(f: FieldSpec, ideal: LatticeIdeal) -> list[LatticeIdeal]:
 # Lattice-point enumeration inside the norm ellipse
 # ----------------------------------------------------------------------
 
-# lattice points (512 KB of int64) per block of _point_blocks, and rows plus
-# cells per run of ideals in _relative_norm_histograms
-_HISTOGRAM_BLOCK = 1 << 16
+# lattice points (128 KB of int64) per block of _point_blocks, rows plus cells
+# per run of ideals in _relative_norm_histograms, products per run of
+# squarefree_ideals' large primes, and cells per block of the parabolic
+# series' terms.  A block's temporaries, a few arrays of this size, are live
+# at once beside any full-size array being filled, so they add to its peak.
+_HISTOGRAM_BLOCK = 1 << 14
 
 
 def _isqrt(n: np.ndarray) -> np.ndarray:
@@ -580,15 +583,20 @@ def count_and_sum_norms(
     return int(hits.sum()), lattice.norm * int((k * hits).sum())
 
 
-def norm_histogram(f: FieldSpec, lattice: LatticeIdeal, bound: int) -> np.ndarray:
+def norm_histogram(
+    f: FieldSpec, lattice: LatticeIdeal, bound: int, *, _dtype: type = np.int64
+) -> np.ndarray:
     """counts[n] = number of nonzero lattice elements of norm exactly n <= bound.
 
     Each block adds its norms in place (np.add.at): a bincount per block would
-    make and add a second array of bound + 1 cells for every block.
+    make and add a second array of bound + 1 cells for every block.  The
+    private _dtype=np.float64 counts in floats, exact below 2^53, for a caller
+    that computes in floats (the parabolic series): no int64 array and no copy.
     """
-    counts = np.zeros(bound + 1, dtype=np.int64)
+    counts = np.zeros(bound + 1, dtype=_dtype)
+    one = _dtype(1)  # a Python 1 takes np.add.at's slow casting path into floats
     for u, v in _lattice_points(f, lattice, bound):
-        np.add.at(counts, norm(f, RingElement(u, v)), 1)
+        np.add.at(counts, norm(f, RingElement(u, v)), one)
     if bound >= 0:
         counts[0] = 0
     return counts

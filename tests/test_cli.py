@@ -507,6 +507,7 @@ def test_zeta_past_the_character_table_budget_refused_at_once(tmp_path, capsys):
         ["count", "--cutoffs", "10"],
         ["horoballs", "--cutoffs", "10"],
         ["depths", "--cutoffs", "2.0"],
+        ["verify", "--cutoffs", "10"],
     ],
 )
 def test_huge_discriminant_refused_before_the_class_number(tmp_path, capsys, monkeypatch, argv):

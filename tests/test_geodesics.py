@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from horocount import counting, geodesics
+from horocount import counting, geodesics, ideals
 from horocount.counting import phi, phi_profile, resolve_method, unit_orbit_reps
 from horocount.field import (
     RingElement,
@@ -528,14 +528,8 @@ def parabolic_one_pass(f, s, cutoffs):
         return [float(np.dot(hist[1 : b + 1], terms[1 : b + 1])) for b in bounds]
 
 
-@pytest.mark.parametrize("d", ["rational", 1])
-@pytest.mark.parametrize("s", [0.4, 0.5, 1.7, -1000.0])
-def test_series_partials_equal_the_one_pass_formulas(d, s):
-    # bit for bit; s = 0.5 takes numpy's x ** -1 shortcut in both the fresh
-    # and the in-place power; at s = -1000 the terms overflow and the sums stay
-    # non-finite (inf, or nan where a zero weight meets an infinite term)
+def _assert_equal_to_the_one_pass_formulas(d, s, cutoffs):
     f = make_field(d)
-    cutoffs = [7, 20, 60]
     for plural, oracle in (
         (relative_poincare_partials, relative_one_pass),
         (parabolic_poincare_partials, parabolic_one_pass),
@@ -548,10 +542,45 @@ def test_series_partials_equal_the_one_pass_formulas(d, s):
         assert all(math.isfinite(v) for v in got) == (s > 0)
 
 
-def test_parabolic_working_memory_is_three_arrays(K1, traced_peak_mb):
-    # top = 640 000: three float64 arrays of top + 1 cells are 15.4 MB; with
-    # every step in a new array the peak was near 29 MB
-    assert traced_peak_mb(lambda: parabolic_poincare_partials(K1, 1.7, [200, 400, 800])) < 20
+@pytest.mark.parametrize("d", ["rational", 1])
+@pytest.mark.parametrize("s", [0.4, 0.5, 1.7, -1000.0])
+def test_series_partials_equal_the_one_pass_formulas(d, s):
+    # bit for bit; s = 0.5 takes numpy's x ** -1 shortcut in both the fresh
+    # and the in-place power; at s = -1000 the terms overflow and the sums stay
+    # non-finite (inf, or nan where a zero weight meets an infinite term)
+    _assert_equal_to_the_one_pass_formulas(d, s, [7, 20, 60])
+
+
+_BLOCK = ideals._HISTOGRAM_BLOCK
+
+
+@pytest.mark.parametrize(
+    "d, cutoffs",
+    [
+        (1, [200, 400, 800]),  # parabolic top 640 000, not a multiple of the block
+        ("rational", [500, 1000, 2000]),
+        # prefixes of a block less one cell and of exactly one block, and a
+        # top of two blocks and two cells: sums end on both sides of a seam
+        ("rational", [_BLOCK - 2, _BLOCK - 1, 2 * _BLOCK + 1]),
+    ],
+    ids=["K1-640000", "Q-2000", "Q-seams"],
+)
+@pytest.mark.parametrize("s", [0.5, 1.7, -1000.0])
+def test_series_partials_equal_the_one_pass_formulas_across_blocks(d, cutoffs, s):
+    # the parabolic terms are built a block at a time: the seams change no bit
+    _assert_equal_to_the_one_pass_formulas(d, s, cutoffs)
+
+
+def test_parabolic_working_memory_is_two_arrays(K1, traced_peak_mb):
+    # top = 640 000: two float64 arrays of top + 1 cells, the histogram and
+    # the terms, are 10.24 MB; with t a third full array the peak was 15.4 MB
+    assert traced_peak_mb(lambda: parabolic_poincare_partials(K1, 1.7, [200, 400, 800])) < 12
+
+
+def test_relative_working_memory_is_two_arrays(Q, traced_peak_mb):
+    # top = 10^6: two float64 arrays of top + 1 cells, the weights and the
+    # terms, are 16 MB; with n a third full array the peak was 24 MB
+    assert traced_peak_mb(lambda: relative_poincare_partials(Q, 1.5, [10**6])) < 18
 
 
 def test_relative_series_rational_s2(Q):
