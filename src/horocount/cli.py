@@ -1,17 +1,17 @@
 """Command-line surface: every operation behind one executable, with
 machine-readable JSON/CSV output for plots and regression tests.
 
-The commands are the keys of _COMMANDS, which pairs each with its handler
-and the floor of its cutoffs (None where it takes none).  The parsed
-argparse namespace is the run's configuration: build_config converts the
-field and the cutoffs, and _validate makes the checks argparse cannot.
+The commands are the keys of _COMMANDS, which gives each its handler, the
+floor of its cutoffs (None where it takes none) and its CSV columns.  The
+parsed argparse namespace is the run's configuration: build_config converts
+the field and the cutoffs, and _validate makes the checks argparse cannot.
 A cutoff x becomes the norm bound floor(x), or the integer x is within float
 error of (arith._norm_bound): x is the value itself, squared for the norm of
 |c| in poincare's parabolic series over Q(sqrt(-d)), or e^t (e^(t/2) over Q)
 for a depth t of depths.  JSON output follows the shipped schema
-(schemas/run-v1.schema.json); CSV is the plotting interface with fixed
-headers.  Row values beyond 2^53 are emitted as decimal strings so nothing is
-rounded downstream.
+(schemas/run-v1.schema.json); CSV is the plotting interface, one column per
+row key the command lists.  Row values beyond 2^53 are emitted as decimal
+strings so nothing is rounded downstream.
 """
 
 from __future__ import annotations
@@ -347,17 +347,18 @@ def _cmd_verify(config: argparse.Namespace) -> tuple[list[dict], dict]:
     return rows, {"failures": failures}
 
 
-# command -> (handler, cutoff floor); the floor is None where a command takes
-# no cutoffs.  depths takes t < 0 (no class has negative depth); a series
-# starts at |c| = 1, the smallest nonzero element; below 1 verify checks empty sets
+# command -> (handler, cutoff floor, CSV columns); the floor is None where a
+# command takes no cutoffs.  depths takes t < 0 (no class has negative depth); a
+# series starts at |c| = 1, the smallest nonzero element; below 1 verify checks
+# empty sets.  The columns are row keys, written in this order.
 _COMMANDS = {
-    "count": (_cmd_count, 0),
-    "zeta": (_cmd_zeta, None),
-    "classnum": (_cmd_classnum, None),
-    "depths": (_cmd_depths, -math.inf),
-    "horoballs": (_cmd_horoballs, 0),
-    "poincare": (_cmd_poincare, 1),
-    "verify": (_cmd_verify, 1),
+    "count": (_cmd_count, 0, ("x_or_t", "value", "predicted", "ratio")),
+    "zeta": (_cmd_zeta, None, ("x_or_t", "value", "predicted", "ratio")),
+    "classnum": (_cmd_classnum, None, ("x_or_t", "value", "predicted", "ratio")),
+    "depths": (_cmd_depths, -math.inf, ("x_or_t", "value", "predicted", "ratio")),
+    "horoballs": (_cmd_horoballs, 0, ("p", "q", "center_x", "center_y", "diameter", "depth")),
+    "poincare": (_cmd_poincare, 1, ("x_or_t", "kind", "value")),
+    "verify": (_cmd_verify, 1, ("check", "passed", "detail")),
 }
 COMMANDS = tuple(_COMMANDS)
 
@@ -388,41 +389,16 @@ def _render_json(config: argparse.Namespace, rows: list[dict], extras: dict) -> 
     return buf.getvalue()
 
 
-_PLOT_HEADER = ["x_or_t", "value", "predicted", "ratio"]
-_SERIES_HEADER = ["x_or_t", "kind", "value"]
-_BALL_HEADER = ["p", "q", "center_x", "center_y", "diameter", "depth"]
-_CHECK_HEADER = ["check", "passed", "detail"]
-
-
 def _render_csv(config: argparse.Namespace, rows: list[dict]) -> str:
+    """The command's columns, then one line per row.  A ring element [a, b]
+    is written a+bw; csv writes None as an empty cell and a float by repr."""
+    columns = _COMMANDS[config.command][2]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    if config.command == "horoballs":
-        writer.writerow(_BALL_HEADER)
-        for r in rows:
-            writer.writerow(
-                ["%d+%dw" % tuple(r["p"]), "%d+%dw" % tuple(r["q"]),
-                 r["center_x"], r["center_y"], r["diameter"], repr(r["depth"])]
-            )
-    elif config.command == "verify":
-        writer.writerow(_CHECK_HEADER)
-        for r in rows:
-            writer.writerow([r["check"], r["passed"], r["detail"]])
-    elif config.command == "poincare":
-        writer.writerow(_SERIES_HEADER)
-        for r in rows:
-            writer.writerow([r["x_or_t"], r["kind"], r["value"]])
-    else:
-        writer.writerow(_PLOT_HEADER)
-        for r in rows:
-            writer.writerow(
-                [
-                    r.get("x_or_t", ""),
-                    r["value"],
-                    "" if r.get("predicted") is None else repr(r["predicted"]),
-                    "" if r.get("ratio") is None else repr(r["ratio"]),
-                ]
-            )
+    writer.writerow(columns)
+    for r in rows:
+        cells = (r[k] for k in columns)
+        writer.writerow(["%d+%dw" % tuple(v) if isinstance(v, list) else v for v in cells])
     return buf.getvalue()
 
 
@@ -456,14 +432,20 @@ def run(config: argparse.Namespace) -> int:
         if config.format == "json"
         else _render_csv(config, rows)
     )
-    if config.output == "-":
-        sys.stdout.write(text)
-    else:
-        try:
+    try:
+        if config.output == "-":
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
             with open(config.output, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            raise CliError("unwritable-output", f"cannot write {config.output}: {exc}")
+    except OSError as exc:
+        if config.output == "-":
+            # the reader is gone: what stdout still buffers goes nowhere at exit
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        raise CliError("unwritable-output", f"cannot write {config.output}: {exc}")
     return 1 if extras.get("failures") else 0  # only verify counts failures
 
 

@@ -29,6 +29,9 @@ _FIELD_CACHE = 64  # entries of each per-field cache; a run touches a few fields
 # residues of the largest character table, one Python _kronecker call each:
 # D = 4 194 303 took 9.5 s on one CPU of a 2-vCPU VM (zeta: 9.2 s, 95 MB RSS)
 _MAX_PERIOD = 1 << 22
+# the largest D whose class number is counted by reduced forms, in time linear
+# in D: classnum on D = 2 399 999 999 took 9.2-9.7 s on one CPU of a 2-vCPU VM
+_MAX_FORM_D = 2_400_000_000
 
 
 class InvalidFieldError(ValueError):
@@ -88,7 +91,8 @@ class FieldSpec:
 
     @property
     def h(self) -> int:
-        """Class number, computed on first use (reduced binary quadratic forms)."""
+        """Class number, computed on first use (reduced binary quadratic forms);
+        OverflowError past the budget of _reduced_form_count."""
         if self._h is None:
             self._h = _reduced_form_count(self.D)
         return self._h
@@ -415,8 +419,14 @@ def zeta_K_2_via_ideal_counts(f: FieldSpec, n_max: int = 200_000) -> float:
 def _reduced_form_count(D: int) -> int:
     """Number of reduced primitive forms (A, B, C), B^2 - 4AC = -D.
 
-    Reduction: |B| <= A <= C, with B >= 0 when |B| = A or A = C.
+    Reduction: |B| <= A <= C, with B >= 0 when |B| = A or A = C.  Raises
+    OverflowError for a D past _MAX_FORM_D before the first form is counted.
     """
+    if D > _MAX_FORM_D:
+        raise OverflowError(
+            f"the class number of D = {D} by reduced forms takes time linear in D, "
+            f"and D is past the budget {_MAX_FORM_D:,}"
+        )
     h = 0
     for b in range(D % 2, isqrt(D // 3) + 1, 2):
         t = b * b + D

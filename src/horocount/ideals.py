@@ -19,7 +19,6 @@ splits from field._splitting_kinds, the sieve's rule, and builds none.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Iterator
 
@@ -279,9 +278,6 @@ def ring_totient_product(f: FieldSpec, q: RingElement) -> int:
 # Prime ideals and factorization
 # ----------------------------------------------------------------------
 
-_PRIME_CACHE = 4096  # (field, p) entries, filled by factor_ideal alone
-
-
 def _minpoly_roots_mod_p(f: FieldSpec, p: int) -> list[int]:
     """Distinct roots of the minimal polynomial x^2 - t*x + n of omega modulo p,
     sorted: a scan of {0, 1} for p = 2, else (t +- s)/2 with s^2 = -D, the
@@ -295,7 +291,6 @@ def _minpoly_roots_mod_p(f: FieldSpec, p: int) -> list[int]:
     return sorted({(f.t + s) * inv2 % p, (f.t - s) * inv2 % p})
 
 
-@lru_cache(maxsize=_PRIME_CACHE)
 def prime_ideals_above(f: FieldSpec, p: int) -> tuple[LatticeIdeal, ...]:
     """The prime ideals of O above the rational prime p, as lattices.
 

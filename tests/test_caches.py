@@ -17,6 +17,6 @@ def _caches():
 
 def test_every_lru_cache_has_a_finite_maxsize():
     caches = dict(_caches())
-    assert {"horocount.field.zeta_K_2", "horocount.ideals.prime_ideals_above"} <= set(caches)
+    assert "horocount.field.zeta_K_2" in caches
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]
     assert not unbounded, f"unbounded caches: {unbounded}"

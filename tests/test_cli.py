@@ -582,6 +582,45 @@ def _python(code: str, *args: str) -> str:
     return done.stdout
 
 
+def _cli_process(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """main(argv) in a fresh interpreter, its stderr captured as text."""
+    code = "import sys\nfrom horocount.cli import main\nsys.exit(main(sys.argv[1:]))\n"
+    env = dict(os.environ, PYTHONPATH=_PACKAGE_ROOT)
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, stderr=subprocess.PIPE,
+                          text=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--field", "1", "--cutoffs", "10"],
+    ["horoballs", "--field", "rational", "--cutoffs", "36"],
+])
+def test_closed_stdout_is_one_unwritable_output_line(argv):
+    """stdout is a pipe whose reader is gone: one typed line, no traceback,
+    and nothing more at the interpreter's exit flush."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _cli_process(argv, stdout=write)
+    finally:
+        os.close(write)
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("horocount-error code=unwritable-output ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["classnum"],
+    ["poincare", "--cutoffs", "10,20,40", "--s", "1.5"],
+])
+def test_class_number_past_its_budget_refused_at_once(argv):
+    """d = 2^61 - 1 is prime and accepted; its reduced forms would take about
+    10^10 s to count, so h is refused before the first one."""
+    done = _cli_process([argv[0], "--field", str(2**61 - 1), *argv[1:]], stdout=subprocess.PIPE)
+    assert done.returncode == 2 and done.stdout == ""
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("horocount-error code=too-large ")
+
+
 def test_main_freezes_the_heap_once_and_import_does_not():
     code = """
 import gc, os, sys

@@ -362,8 +362,7 @@ def test_prime_ideals_in_closed_form_are_the_hnf_of_their_generators(d):
     for p in primes_up_to(4999):
         roots = [] if f.is_rational else _minpoly_roots_mod_p(f, p)
         gens = [[RingElement(p, 0), RingElement(-r, 1)] for r in roots] or [[RingElement(p, 0)]]
-        # the uncached function, so the test leaves the cache as it found it
-        above = prime_ideals_above.__wrapped__(f, p)
+        above = prime_ideals_above(f, p)
         assert list(above) == [hnf_from_generators(f, g) for g in gens], (d, p)
 
 
@@ -509,8 +508,8 @@ def test_squarefree_arrays_equal_the_search(d):
 def test_squarefree_ideals_find_roots_only_where_p_is_not_inert(d, monkeypatch):
     """The builder reads how p splits from field._splitting_kinds: it finds
     the roots mod p once for each p <= 2000 that splits or ramifies (by the
-    Kronecker symbol, a rule of its own), never for an inert p, and leaves
-    the cold cache of prime_ideals_above untouched."""
+    Kronecker symbol, a rule of its own), never for an inert p, and never
+    calls prime_ideals_above."""
     f = make_field(d)
     calls = []
 
@@ -518,11 +517,13 @@ def test_squarefree_ideals_find_roots_only_where_p_is_not_inert(d, monkeypatch):
         calls.append(p)
         return _minpoly_roots_mod_p(field, p)
 
-    prime_ideals_above.cache_clear()
+    def forbidden(field, p):
+        raise AssertionError(f"prime_ideals_above({field!r}, {p}) called")
+
     monkeypatch.setattr(ideals_module, "_minpoly_roots_mod_p", spy)
+    monkeypatch.setattr(ideals_module, "prime_ideals_above", forbidden)
     squarefree_ideals(f, 2000)
     assert calls == [p for p in primes_up_to(2000) if kronecker_character(f, p) != -1]
-    assert prime_ideals_above.cache_info().currsize == 0
 
 
 def test_mobius_reciprocal_partial(zeta_fields, Q):
