@@ -25,6 +25,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 from . import counting, geodesics
@@ -500,7 +501,16 @@ def build_config(argv: list[str]) -> argparse.Namespace:
     parser.add_argument("--output", default="-", help="output path, '-' for stdout")
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--tolerance", type=float)
-    config = parser.parse_args(argv)
+    # argparse reads a value such as "-1,0.5", which is not one negative number,
+    # as an option: a --cutoffs value that starts with a minus sign and a digit
+    # is glued on with '='
+    glued: list[str] = []
+    for tok in argv:
+        if glued and glued[-1] == "--cutoffs" and re.match(r"-[0-9.]", tok):
+            glued[-1] += "=" + tok
+        else:
+            glued.append(tok)
+    config = parser.parse_args(glued)
     config.field = _parse_field(config.field)
     config.cutoffs = _parse_cutoffs(config.cutoffs)
     return config

@@ -17,7 +17,7 @@ Conventions (fixed once):
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -300,6 +300,21 @@ def _series_bounds(cutoffs: Sequence[float], square: bool) -> list[int]:
     return [_profile_bound(c * c if square else c) for c in cutoffs]
 
 
+def _prefix_sums(
+    weights: np.ndarray, term: Callable[[int, int], np.ndarray], start: int, bounds: list[int]
+) -> list[float]:
+    """Multiply the float64 weights in place by term(lo, hi), the terms of cells
+    [lo, hi), one _HISTOGRAM_BLOCK at a time, and give np.sum(weights[start : b
+    + 1]) for each bound b: numpy's pairwise sum of that prefix alone, which no
+    BLAS thread count and no other bound changes.  A term that overflows
+    gives inf, or nan where it meets a zero weight, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo in range(0, weights.size, _HISTOGRAM_BLOCK):
+            hi = min(lo + _HISTOGRAM_BLOCK, weights.size)
+            weights[lo:hi] *= term(lo, hi)
+    return [float(np.sum(weights[start : b + 1])) for b in bounds]
+
+
 def relative_poincare_partials(
     f: FieldSpec, s: float, cutoffs: Sequence[float]
 ) -> list[SeriesPartialSum]:
@@ -310,26 +325,23 @@ def relative_poincare_partials(
     Expanded over fractions, e^(-s*depth(q)) is |q|^(-2s): N(q)^(-s) in the
     quadratic case and q^(-2s) over Q.  The weight w[n] (sum of Phi(q) over
     N(q) = n) is the phi increment at n, from one kernel run up to the
-    largest cutoff by the method resolve_method picks for 'auto'; each sum
-    is a dot product over a prefix of the same arrays.  The work is two
-    float64 arrays of top + 1 cells, top the largest norm bound: the weights
-    and the terms, which are powered in place.  An s so negative
-    that a term overflows gives a non-finite value (inf, or nan where a zero
-    weight meets an infinite term), without a warning.
+    largest cutoff by the method resolve_method picks for 'auto'.  The
+    products w[n] * |q|^(-2s) are written over the weights, top + 1 float64
+    cells for top the largest norm bound, and each sum is the np.sum of a
+    prefix of them (_prefix_sums).  The int64 increments live beside the
+    weights only while they are cast.  An s so negative that a term
+    overflows gives a non-finite value, without a warning.
     """
     bounds = _series_bounds(cutoffs, square=False)
-    top = max(bounds)
-    weights = _increments(f, top, "auto").astype(np.float64)
+    weights = _increments(f, max(bounds), "auto").astype(np.float64)
     exponent = 2.0 * s if f.is_rational else s
-    terms = np.arange(top + 1, dtype=np.float64)  # n, with n[0] = 1, then n^(-exponent)
-    terms[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms **= -exponent
-        return [
-            SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(weights[: b + 1], terms[: b + 1])),
-                             kind="relative")
-            for c, b in zip(cutoffs, bounds)
-        ]
+
+    def term(lo: int, hi: int) -> np.ndarray:  # n^(-exponent), with n = 0 read as 1
+        return np.maximum(np.arange(lo, hi, dtype=np.float64), 1.0) ** -exponent
+
+    values = _prefix_sums(weights, term, 0, bounds)
+    return [SeriesPartialSum(s=s, cutoff=c, value=v, kind="relative")
+            for c, v in zip(cutoffs, values)]
 
 
 def parabolic_poincare_partials(
@@ -339,36 +351,24 @@ def parabolic_poincare_partials(
     x0 + c)) over nonzero c in O with |c| <= cutoff, where d is the upper
     half-space distance between height-1 points, d = 2 * arcsinh(|c| / 2).
 
-    One norm histogram of O up to the largest cutoff; each sum is a dot
-    product over a prefix of it.  The work is two float64 arrays of top + 1
-    cells, top the largest norm bound: the histogram, counted in floats, and
-    the terms, built in place a block of t = |c|/2 at a time.  As for the
-    relative series, an s so negative that a term overflows gives a
-    non-finite value, without a warning.
+    One norm histogram of O up to the largest cutoff, counted in floats, is
+    the one full array (top + 1 cells, top the largest norm bound): the
+    products with the terms are written over it, and each sum is the np.sum
+    of them from norm 1 to its bound (_prefix_sums).  As for the relative
+    series, a term that overflows gives a non-finite value.
     """
     bounds = _series_bounds(cutoffs, square=not f.is_rational)
-    top = max(bounds)
-    hist = norm_histogram(f, unit_ideal(f), top, _dtype=np.float64)
-    # e^(-2s*arcsinh(t)) = (t + sqrt(1 + t^2))^(-2s) with t = |c|/2, built in place
-    terms = np.empty(top + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for lo in range(0, top + 1, _HISTOGRAM_BLOCK):
-            # N(c), then |c| (N(c) over Q), then t
-            t = np.arange(lo, min(lo + _HISTOGRAM_BLOCK, top + 1), dtype=np.float64)
-            if not f.is_rational:
-                np.sqrt(t, out=t)
-            t /= 2.0
-            block = terms[lo : lo + t.size]
-            np.multiply(t, t, out=block)
-            np.add(1.0, block, out=block)
-            np.sqrt(block, out=block)
-            np.add(t, block, out=block)
-        terms **= -2.0 * s
-        return [
-            SeriesPartialSum(s=s, cutoff=c, value=float(np.dot(hist[1 : b + 1], terms[1 : b + 1])),
-                             kind="parabolic")
-            for c, b in zip(cutoffs, bounds)
-        ]
+    hist = norm_histogram(f, unit_ideal(f), max(bounds), _dtype=np.float64)
+
+    def term(lo: int, hi: int) -> np.ndarray:
+        # e^(-2s*arcsinh(t)) = (t + sqrt(1 + t^2))^(-2s) with t = |c|/2
+        t = np.arange(lo, hi, dtype=np.float64)  # N(c) = |c|^2, or |c| over Q
+        t = (t if f.is_rational else np.sqrt(t)) / 2.0
+        return (t + np.sqrt(1.0 + t * t)) ** (-2.0 * s)
+
+    values = _prefix_sums(hist, term, 1, bounds)
+    return [SeriesPartialSum(s=s, cutoff=c, value=v, kind="parabolic")
+            for c, v in zip(cutoffs, values)]
 
 
 def relative_poincare_partial(f: FieldSpec, s: float, cutoff: float) -> SeriesPartialSum:

@@ -446,9 +446,10 @@ def ideal_divisors(f: FieldSpec, ideal: LatticeIdeal) -> list[LatticeIdeal]:
 
 # lattice points (128 KB of int64) per block of _point_blocks, rows plus cells
 # per run of ideals in _relative_norm_histograms, products per run of
-# squarefree_ideals' large primes, and cells per block of the parabolic
-# series' terms.  A block's temporaries, a few arrays of this size, are live
-# at once beside any full-size array being filled, so they add to its peak.
+# squarefree_ideals' large primes, and cells per block of
+# geodesics._prefix_sums, which writes a series' products over its weights.
+# A block's temporaries, a few arrays of this size, are live at once beside
+# any full-size array being filled, so they add to its peak.
 _HISTOGRAM_BLOCK = 1 << 14
 
 

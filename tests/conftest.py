@@ -1,8 +1,33 @@
+import faulthandler
+import os
 import tracemalloc
 
 import pytest
 
 from horocount.field import make_field
+
+# Seconds one test's call may take before the run ends, with the stack of every
+# thread on stderr, so that a test stuck in a loop fails the suite instead of
+# hanging it.  The slowest call took 2.5 s on one pinned CPU of a 2-vCPU VM
+# (--durations): 60 leaves a margin of 24x for a slow host.
+TEST_TIMEOUT_S = 60
+
+_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config):
+    # a copy of the real stderr: capturing takes fd 2 around each call, and
+    # what it holds is lost when the timeout ends the process
+    config.stash[_STDERR] = os.dup(2)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    faulthandler.dump_traceback_later(TEST_TIMEOUT_S, exit=True, file=item.config.stash[_STDERR])
+    try:
+        yield
+    finally:
+        faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

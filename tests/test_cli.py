@@ -105,6 +105,16 @@ def test_depths_rows_name_the_resolved_method(tmp_path, schema, field, method):
     assert expected[0] == 0 and expected[-1] > 0
 
 
+def test_a_negative_first_depth_needs_no_equals_sign(tmp_path):
+    """argparse alone reads "-1,0.5,2,9", which is not one negative number, as
+    an option; after --cutoffs it is the cutoffs, as with '='."""
+    head = ["depths", "--field", "rational"]
+    spaced = run_json(tmp_path, head + ["--cutoffs", "-1,0.5,2,9"], "spaced.json")
+    glued = run_json(tmp_path, head + ["--cutoffs=-1,0.5,2,9"], "glued.json")
+    assert spaced[0] == glued[0] == 0
+    assert hash_without_timestamp(spaced[1]) == hash_without_timestamp(glued[1])
+
+
 @pytest.mark.parametrize("field", ["rational", "d=1", "d=5"])
 def test_depths_at_log_n_equal_count_at_n(tmp_path, field):
     """Depth log n (2 log n over Q) is the norm bound n, so depths there reads
@@ -401,6 +411,8 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         (["count", "--field", "1", "--cutoffs", "10", "--method", "sieve"], "bad-arguments"),
         (["count", "--field", "1", "--cutoffs", "10", "--format", "xml"], "bad-arguments"),
         (["count", "--field", "1", "--cutoffs", "1,x"], "bad-cutoffs"),
+        # --cutoffs glues on a value that starts "-<digit>", never an option
+        (["depths", "--field", "1", "--cutoffs", "--s", "2"], "bad-arguments"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text

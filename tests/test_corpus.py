@@ -9,6 +9,9 @@ import gzip
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,3 +73,34 @@ def test_corpus_entry_is_reproduced(entry):
     assert got["stderr"] == entry["stderr"]
     same = _same_csv if isinstance(entry["stdout"], str) else _same
     assert same(got["stdout"], entry["stdout"])
+
+
+# the entries whose sums moved with the BLAS thread count while each partial
+# sum was an OpenBLAS dot product, which splits a long sum across threads
+_THREADED = [
+    ["poincare", "--field", "1", "--cutoffs", "200,400,800", "--s", "1.7"],
+    ["poincare", "--field", "1", "--cutoffs", "100,200,400", "--s", "2.3"],
+    ["poincare", "--field", "1", "--cutoffs", "100,200,400", "--s", "2.7"],
+]
+_RUN = (
+    "import json, sys\n"
+    "import make_corpus\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    print(json.dumps(make_corpus.run(argv), sort_keys=True))\n"
+)
+
+
+def test_series_entries_do_not_depend_on_the_blas_thread_count():
+    """The entries above, in a fresh interpreter at one and at two OpenBLAS
+    threads, print the same bytes (generated_at removed).  OpenBLAS runs no
+    more threads than the process has CPUs, so under `taskset -c 0` both runs
+    are one-thread runs and this test cannot fail there."""
+    package_root = Path(make_corpus.cli.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(map(str, (package_root, _HERE))))
+        done = subprocess.run([sys.executable, "-c", _RUN, json.dumps(_THREADED)], env=env,
+                              capture_output=True, check=True, timeout=120)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]

@@ -315,9 +315,11 @@ def test_kernel_outputs_are_python_ints(d):
 
 @pytest.mark.parametrize("d", ["rational", 1, 3, 5, 23])
 def test_block_boundaries_change_nothing(d, monkeypatch):
-    """Blocks of 1, 7 and 64 points cut rows and runs of ideals everywhere;
-    every kernel that reads the row expander must give its default result."""
-    from horocount import ideals
+    """Blocks of 1, 7 and 64 points cut rows and runs of ideals everywhere, and
+    blocks of as many cells cut the series' products: every kernel that reads the
+    row expander must give its default result, and each series sum its bits.
+    geodesics binds _HISTOGRAM_BLOCK by name, so it is patched there too."""
+    from horocount import geodesics, ideals
 
     f = make_field(d)
     prime = prime_ideals_above(f, 3)[0]
@@ -329,12 +331,15 @@ def test_block_boundaries_change_nothing(d, monkeypatch):
             [list(enumerate_norm_le(f, L, 150)) for L in (unit_ideal(f), prime)],
             unit_orbit_reps(f, 400),
             phi_profile(f, 400, "mobius"),
+            [ps.value.hex() for ps in geodesics.relative_poincare_partials(f, 1.7, [50, 150, 400])],
+            [ps.value.hex() for ps in geodesics.parabolic_poincare_partials(f, 1.7, [5, 12, 20])],
         )
 
     default = outputs()
-    assert default[-1] == phi_profile(f, 400, "brute")
+    assert default[4] == phi_profile(f, 400, "brute")
     for block in (1, 7, 64):
         monkeypatch.setattr(ideals, "_HISTOGRAM_BLOCK", block)
+        monkeypatch.setattr(geodesics, "_HISTOGRAM_BLOCK", block)
         assert outputs() == default, block
 
 

@@ -500,9 +500,11 @@ def test_series_partials_equal_scalar_sums(d):
             assert sums == [scalar(f, s, c) for c in cutoffs]
 
 
-def relative_one_pass(f, s, cutoffs):
-    """Oracle: the relative partial sums with weights differenced from one
-    phi profile (the formula before the weights came from the increments)."""
+def relative_products(f, s, cutoffs):
+    """Oracle: the relative series' products w[n] * n^(-2s) (n^(-s) over
+    Q(sqrt(-d))) up to each cutoff, the weights differenced from one phi profile
+    (the formula before the weights came from the increments) and the terms in
+    a new array."""
     top = max(cutoffs)
     profile = phi_profile(f, top, resolve_method(f))
     weights = np.diff(np.asarray(profile, dtype=np.int64), prepend=0).astype(np.float64)
@@ -511,33 +513,34 @@ def relative_one_pass(f, s, cutoffs):
     exponent = 2.0 * s if f.is_rational else s
     with np.errstate(over="ignore", invalid="ignore"):
         terms = n ** (-exponent)
-        return [float(np.dot(weights[: b + 1], terms[: b + 1])) for b in cutoffs]
+        return [weights[: b + 1] * terms[: b + 1] for b in cutoffs]
 
 
-def parabolic_one_pass(f, s, cutoffs):
-    """Oracle: the parabolic partial sums with each step of the terms in a new
-    array (the formula before they were built in place)."""
+def parabolic_products(f, s, cutoffs):
+    """Oracle: the parabolic series' products, of the norm histogram with the
+    terms, from norm 1 up to each cutoff's bound, each step of the terms in a
+    new array (the formula before they were built in place)."""
     bounds = [c if f.is_rational else c * c for c in cutoffs]
     top = max(bounds)
     hist = norm_histogram(f, unit_ideal(f), top).astype(np.float64)
     n = np.arange(top + 1, dtype=np.float64)
     abs_c = n if f.is_rational else np.sqrt(n)
     t = abs_c / 2.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         terms = (t + np.sqrt(1.0 + t * t)) ** (-2.0 * s)
-        return [float(np.dot(hist[1 : b + 1], terms[1 : b + 1])) for b in bounds]
+        return [hist[1 : b + 1] * terms[1 : b + 1] for b in bounds]
 
 
 def _assert_equal_to_the_one_pass_formulas(d, s, cutoffs):
     f = make_field(d)
     for plural, oracle in (
-        (relative_poincare_partials, relative_one_pass),
-        (parabolic_poincare_partials, parabolic_one_pass),
+        (relative_poincare_partials, relative_products),
+        (parabolic_poincare_partials, parabolic_products),
     ):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = [ps.value for ps in plural(f, s, cutoffs)]
-        want = oracle(f, s, cutoffs)
+        want = [float(np.sum(products)) for products in oracle(f, s, cutoffs)]
         assert [v.hex() for v in got] == [v.hex() for v in want]
         assert all(math.isfinite(v) for v in got) == (s > 0)
 
@@ -545,9 +548,10 @@ def _assert_equal_to_the_one_pass_formulas(d, s, cutoffs):
 @pytest.mark.parametrize("d", ["rational", 1])
 @pytest.mark.parametrize("s", [0.4, 0.5, 1.7, -1000.0])
 def test_series_partials_equal_the_one_pass_formulas(d, s):
-    # bit for bit; s = 0.5 takes numpy's x ** -1 shortcut in both the fresh
-    # and the in-place power; at s = -1000 the terms overflow and the sums stay
-    # non-finite (inf, or nan where a zero weight meets an infinite term)
+    # bit for bit, the np.sum of each prefix of the products; s = 0.5 takes
+    # numpy's x ** -1 shortcut in both the fresh and the blockwise power; at
+    # s = -1000 the terms overflow and the sums stay non-finite (inf, or nan
+    # where a zero weight meets an infinite term)
     _assert_equal_to_the_one_pass_formulas(d, s, [7, 20, 60])
 
 
@@ -567,19 +571,39 @@ _BLOCK = ideals._HISTOGRAM_BLOCK
 )
 @pytest.mark.parametrize("s", [0.5, 1.7, -1000.0])
 def test_series_partials_equal_the_one_pass_formulas_across_blocks(d, cutoffs, s):
-    # the parabolic terms are built a block at a time: the seams change no bit
+    # the products are written a block at a time: the seams change no bit
     _assert_equal_to_the_one_pass_formulas(d, s, cutoffs)
 
 
-def test_parabolic_working_memory_is_two_arrays(K1, traced_peak_mb):
-    # top = 640 000: two float64 arrays of top + 1 cells, the histogram and
-    # the terms, are 10.24 MB; with t a third full array the peak was 15.4 MB
-    assert traced_peak_mb(lambda: parabolic_poincare_partials(K1, 1.7, [200, 400, 800])) < 12
+@pytest.mark.parametrize("d", ["rational", 1])
+@pytest.mark.parametrize("s", [0.7, 1.7, 2.3])
+def test_series_partials_within_the_pairwise_bound_of_fsum(d, s):
+    # each sum of n products, all >= 0, lies within ceil(log2 n) * 2^-53 * S
+    # of S, their correctly rounded sum by math.fsum: the bound for a pairwise
+    # sum, fixed before any sum was measured
+    f = make_field(d)
+    for plural, oracle, cutoffs in (
+        (relative_poincare_partials, relative_products, [1000, 30000, 100000]),
+        (parabolic_poincare_partials, parabolic_products, [50, 200, 400]),
+    ):
+        for ps, products in zip(plural(f, s, cutoffs), oracle(f, s, cutoffs)):
+            exact = math.fsum(products.tolist())
+            bound = math.ceil(math.log2(products.size)) * 2.0**-53 * exact
+            assert abs(ps.value - exact) <= bound, (plural.__name__, ps.cutoff)
+
+
+def test_parabolic_working_memory_is_one_array(K1, traced_peak_mb):
+    # top = 640 000: one float64 array of top + 1 cells, the histogram with
+    # the products written over it, is 5.12 MB, and two are 10.24 MB; with a
+    # full array of terms beside it the peak was 10.5 MB
+    assert traced_peak_mb(lambda: parabolic_poincare_partials(K1, 1.7, [200, 400, 800])) < 8
 
 
 def test_relative_working_memory_is_two_arrays(Q, traced_peak_mb):
-    # top = 10^6: two float64 arrays of top + 1 cells, the weights and the
-    # terms, are 16 MB; with n a third full array the peak was 24 MB
+    # top = 10^6: two arrays of top + 1 cells are 16 MB.  The products are
+    # written over the float64 weights, but the peak is the moment the int64
+    # increments are cast to them, when both are live; with n a third full
+    # array the peak was 24 MB
     assert traced_peak_mb(lambda: relative_poincare_partials(Q, 1.5, [10**6])) < 18
 
 

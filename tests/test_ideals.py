@@ -640,6 +640,29 @@ def test_row_partition_independence(K1):
         assert (va + vb, ta + tb) == full
 
 
+def test_runs_fill_each_run_to_the_cap():
+    # a run holds as many items as fit in the cap, not one each
+    from horocount.ideals import _runs
+
+    assert list(_runs(np.ones(100, dtype=np.int64), 10)) == [(k, k + 10) for k in range(0, 100, 10)]
+    assert list(_runs(np.array([3, 25, 4, 4]), 10)) == [(0, 1), (1, 2), (2, 4)]
+
+
+def test_point_blocks_cut_rows_longer_than_a_block():
+    # rows of a block and five points and of two blocks come out in pieces of
+    # at most a block, each point once and in row order
+    from horocount.ideals import _HISTOGRAM_BLOCK as block, _point_blocks
+
+    count = np.array([block + 5, 2 * block], dtype=np.int64)
+    rows = (np.zeros(2, dtype=np.int64), np.array([0, 1]), np.array([-7, 3]), count)
+    blocks = list(_point_blocks(np.array([2], dtype=np.int64), rows))
+    assert all(u.size == n.sum() <= block for _, n, u, _ in blocks)
+    u = np.concatenate([u for _, _, u, _ in blocks])
+    v = np.concatenate([v for _, _, _, v in blocks])
+    assert (u == np.concatenate([-7 + 2 * np.arange(block + 5), 3 + 2 * np.arange(2 * block)])).all()
+    assert (v == np.repeat([0, 1], count)).all()
+
+
 def _box_scan(f, lattice, bound):
     """The elements of norm <= bound, zero included, by membership tests over a
     box that holds the norm ellipse: |a| <= bound over Q; otherwise |b| and
