@@ -2,13 +2,14 @@
 
 Exact integer math: sieves, modular roots and powers, factorization of
 machine-sized integers, and multiplicative_fill, the one segmented sieve behind
-every multiplicative table of the package; and _norm_bound, the one path from
-a float cutoff to its integer norm bound.  No field logic.
+every multiplicative table of the package; _norm_bound, the one path from a
+float cutoff to its integer norm bound; and _slope, the one least-squares
+slope.  No field logic.
 """
 
 from __future__ import annotations
 
-from math import gcd, isqrt
+from math import fsum, gcd, isqrt
 
 import numpy as np
 
@@ -41,6 +42,19 @@ def _norm_bound(x: float, ulps: float = 2) -> int:
     if abs(x - nearest) <= ulps * 2.0**-52 * max(1.0, abs(nearest)):
         return int(nearest)
     return int(x)
+
+
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """The least-squares slope of ys against xs, in closed form: the sum of
+    (x - mx) * (y - my) over the sum of (x - mx)^2, mx and my the means, every
+    sum a math.fsum.  Centring on rounded means moves neither sum to first
+    order, so the slope is within a few ulps of the exact one; at least two
+    distinct xs are needed, else ValueError."""
+    if len(set(xs)) < 2:
+        raise ValueError("a slope needs points at two or more distinct x")
+    mx, my = fsum(xs) / len(xs), fsum(ys) / len(ys)
+    dx = [x - mx for x in xs]
+    return fsum(d * (y - my) for d, y in zip(dx, ys)) / fsum(d * d for d in dx)
 
 
 def _power_mod(base: np.ndarray, exponent, p) -> np.ndarray:

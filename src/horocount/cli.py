@@ -249,8 +249,9 @@ def _verify_checks(f: FieldSpec, bound: int):
     Two things are computed first, so that a request past a budget is refused
     before any check runs: zeta_K(2), whose character table refuses a huge D
     before the series' 'auto' method and phi-cross-method read h, then the
-    series-ordering sums, reported last, whose parabolic norm histogram up to
-    max(16, bound)^2 is the largest array of the suite.
+    series-ordering sums, reported last, whose parabolic series to the norm
+    max(16, bound)^2 is the largest sum of the suite and is refused past the
+    work budget of one series.
     """
     z1 = zeta_K_2(f, 1e-10)
     cuts = [max(4, bound // 4), max(8, bound // 2), max(16, bound)]

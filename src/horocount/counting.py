@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import _norm_bound
+from .arith import _norm_bound, _slope
 from .field import (
     FieldSpec,
     RingElement,
@@ -302,10 +302,7 @@ def exponent_estimate(samples: list[CountSample]) -> float:
         raise ValueError("sample cutoffs must be strictly increasing")
     if any(s.phi <= 0 for s in samples):
         raise ValueError("samples with phi = 0 cannot be log-fitted")
-    lx = np.log([s.x for s in samples])
-    ly = np.log([float(s.phi) for s in samples])
-    slope, _ = np.polyfit(lx, ly, 1)
-    return float(slope)
+    return _slope(np.log(xs).tolist(), np.log([float(s.phi) for s in samples]).tolist())
 
 
 __all__ = [

@@ -274,7 +274,7 @@ def _character_table(f: FieldSpec) -> tuple[tuple[int, ...], int]:
 # ----------------------------------------------------------------------
 
 _ZETA2 = math.pi * math.pi / 6.0
-_SUM_BLOCK = 1 << 16  # terms of a series built at once
+_SUM_BLOCK = 1 << 14  # terms of a series built at once, 128 kB of float64
 # A work budget, about 20 s of blocks on one CPU.  2^30 terms certify tol =
 # 4*M*zeta(2)/2^60, under 6e-16 (a few float64 spacings near zeta_K(2))
 # while M < 100, so it refuses no tolerance float64 could honour there.
@@ -290,7 +290,9 @@ def _pairwise_sum(terms, lo: int, hi: int) -> float:
     128-term base case splits at half = len // 2 rounded down to a multiple
     of 8, and the two halves' sums are added.  Splitting at the same points
     and handing each range of at most _SUM_BLOCK terms to np.sum rebuilds
-    the same tree of additions.
+    the same tree of additions.  So _SUM_BLOCK must be at least 128: a
+    smaller block would split a run that numpy sums in its base case, with
+    eight running sums and no split.
     """
     size = hi - lo
     if size > _SUM_BLOCK:
@@ -310,7 +312,7 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
     orders of magnitude below the bound at the N involved).  A tol that needs
     more than 2^30 terms raises OverflowError before any work is done.
 
-    Working memory is one block of 2^16 terms (a few arrays of 512 kB),
+    Working memory is one block of 2^14 terms (a few arrays of 128 kB),
     whatever N is: _pairwise_sum splits the N terms where numpy's pairwise
     summation splits the one N-term array, so the value is that array's
     np.sum to the last bit.
@@ -394,7 +396,7 @@ def zeta_K_2_via_ideal_counts(f: FieldSpec, n_max: int = 200_000) -> float:
     is comfortably below 1e-8.
 
     Working memory besides the int64 counts a_n is one block: the fill's,
-    then one float64 array of 2^16 terms a_n / n^2.  The blocks split where
+    then one float64 array of 2^14 terms a_n / n^2.  The blocks split where
     numpy's pairwise sum splits the one array of all n_max + 1 terms, so the
     sum is that array's np.sum to the last bit.
     """

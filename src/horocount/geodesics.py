@@ -17,32 +17,32 @@ Conventions (fixed once):
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .arith import _norm_bound
+from .arith import _norm_bound, _slope
 from .counting import _increments, _profile_bound, phi_at, unit_orbit_reps
 from .field import (
+    _MAX_TERMS,
     FieldSpec,
     RingElement,
     _canonical_associate,
+    _pairwise_sum,
     arch_norm_sq,
     conj,
     mul,
     sub,
 )
 from .ideals import (
-    _HISTOGRAM_BLOCK,
     InvalidDenominatorError,
+    _unit_norm_band,
     coprime_box,
     is_coprime,
-    norm_histogram,
     principal_ideal,
     reduce_mod,
-    unit_ideal,
 )
 
 
@@ -151,8 +151,7 @@ def growth_rate(f: FieldSpec, t_grid: list[float], method: str = "auto") -> floa
     counts = phi_at(f, [depth_cutoff(f, t) for t in t_grid], method)
     if any(c <= 0 for c in counts):
         raise ValueError("N_e must be positive on the whole grid")
-    slope, _ = np.polyfit(np.asarray(t_grid), np.log(np.asarray(counts, float)), 1)
-    return float(slope)
+    return _slope(t_grid, np.log(np.asarray(counts, float)).tolist())
 
 
 # ----------------------------------------------------------------------
@@ -294,25 +293,18 @@ def check_disjoint(balls: list[RationalGeodesic]) -> DisjointnessReport:
 
 def _series_bounds(cutoffs: Sequence[float], square: bool) -> list[int]:
     """counting._profile_bound of each cutoff c, or of c^2 when the cutoff is
-    on |c| and the norm is |c|^2; it raises OverflowError past ssize_t."""
+    on |c| and the norm is |c|^2.  A bound past field._MAX_TERMS, the work
+    budget of one series (zeta_K_2's), raises OverflowError before any work,
+    as _profile_bound does past ssize_t."""
     if not cutoffs or not all(1 <= c < math.inf for c in cutoffs):
         raise ValueError("need at least one cutoff, each finite and >= 1")
-    return [_profile_bound(c * c if square else c) for c in cutoffs]
-
-
-def _prefix_sums(
-    weights: np.ndarray, term: Callable[[int, int], np.ndarray], start: int, bounds: list[int]
-) -> list[float]:
-    """Multiply the float64 weights in place by term(lo, hi), the terms of cells
-    [lo, hi), one _HISTOGRAM_BLOCK at a time, and give np.sum(weights[start : b
-    + 1]) for each bound b: numpy's pairwise sum of that prefix alone, which no
-    BLAS thread count and no other bound changes.  A term that overflows
-    gives inf, or nan where it meets a zero weight, without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        for lo in range(0, weights.size, _HISTOGRAM_BLOCK):
-            hi = min(lo + _HISTOGRAM_BLOCK, weights.size)
-            weights[lo:hi] *= term(lo, hi)
-    return [float(np.sum(weights[start : b + 1])) for b in bounds]
+    bounds = [_profile_bound(c * c if square else c) for c in cutoffs]
+    if max(bounds) > _MAX_TERMS:
+        raise OverflowError(
+            f"a series to the norm bound {max(bounds):,} is past the {_MAX_TERMS:,} terms "
+            "one call sums"
+        )
+    return bounds
 
 
 def relative_poincare_partials(
@@ -325,21 +317,28 @@ def relative_poincare_partials(
     Expanded over fractions, e^(-s*depth(q)) is |q|^(-2s): N(q)^(-s) in the
     quadratic case and q^(-2s) over Q.  The weight w[n] (sum of Phi(q) over
     N(q) = n) is the phi increment at n, from one kernel run up to the
-    largest cutoff by the method resolve_method picks for 'auto'.  The
-    products w[n] * |q|^(-2s) are written over the weights, top + 1 float64
-    cells for top the largest norm bound, and each sum is the np.sum of a
-    prefix of them (_prefix_sums).  The int64 increments live beside the
-    weights only while they are cast.  An s so negative that a term
-    overflows gives a non-finite value, without a warning.
+    largest cutoff by the method resolve_method picks for 'auto'; its top + 1
+    int64 cells, top the largest norm bound, are the one full array.  Each
+    sum is field._pairwise_sum of the products w[n] * |q|^(-2s) from n = 0
+    to its bound, built one block at a time: bit for bit the np.sum of that
+    prefix, which no BLAS thread count and no other cutoff changes.  An s so
+    negative that a term overflows gives a non-finite value (inf, or nan
+    where it meets a zero weight), without a warning.
     """
     bounds = _series_bounds(cutoffs, square=False)
-    weights = _increments(f, max(bounds), "auto").astype(np.float64)
+    weights = _increments(f, max(bounds), "auto")
     exponent = 2.0 * s if f.is_rational else s
 
-    def term(lo: int, hi: int) -> np.ndarray:  # n^(-exponent), with n = 0 read as 1
-        return np.maximum(np.arange(lo, hi, dtype=np.float64), 1.0) ** -exponent
+    def products(lo: int, hi: int) -> np.ndarray:  # w[n] * n^(-exponent), n = 0 read as 1
+        n = np.arange(lo, hi, dtype=np.float64)
+        if lo == 0:
+            n[0] = 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            n **= -exponent
+            n *= weights[lo:hi]
+        return n
 
-    values = _prefix_sums(weights, term, 0, bounds)
+    values = [_pairwise_sum(products, 0, b + 1) for b in bounds]
     return [SeriesPartialSum(s=s, cutoff=c, value=v, kind="relative")
             for c, v in zip(cutoffs, values)]
 
@@ -351,22 +350,33 @@ def parabolic_poincare_partials(
     x0 + c)) over nonzero c in O with |c| <= cutoff, where d is the upper
     half-space distance between height-1 points, d = 2 * arcsinh(|c| / 2).
 
-    One norm histogram of O up to the largest cutoff, counted in floats, is
-    the one full array (top + 1 cells, top the largest norm bound): the
-    products with the terms are written over it, and each sum is the np.sum
-    of them from norm 1 to its bound (_prefix_sums).  As for the relative
-    series, a term that overflows gives a non-finite value.
+    The products, each term times the number of c of its norm
+    (ideals._unit_norm_band), are built in place one band of norms at a
+    time, and each sum is field._pairwise_sum of them from norm 1 to its
+    bound: bit for bit the np.sum of the products of O's norm histogram with
+    the terms, with no array of top + 1 cells (top the largest norm bound).
+    A band's arrays hold at most field._SUM_BLOCK cells, or one entry per
+    lattice row.  As for the relative series, a term that overflows gives a
+    non-finite value.
     """
     bounds = _series_bounds(cutoffs, square=not f.is_rational)
-    hist = norm_histogram(f, unit_ideal(f), max(bounds), _dtype=np.float64)
 
-    def term(lo: int, hi: int) -> np.ndarray:
+    def products(lo: int, hi: int) -> np.ndarray:
         # e^(-2s*arcsinh(t)) = (t + sqrt(1 + t^2))^(-2s) with t = |c|/2
         t = np.arange(lo, hi, dtype=np.float64)  # N(c) = |c|^2, or |c| over Q
-        t = (t if f.is_rational else np.sqrt(t)) / 2.0
-        return (t + np.sqrt(1.0 + t * t)) ** (-2.0 * s)
+        if not f.is_rational:
+            np.sqrt(t, out=t)
+        t /= 2.0
+        out = t * t
+        out += 1.0
+        np.sqrt(out, out=out)
+        out += t
+        with np.errstate(over="ignore", invalid="ignore"):
+            out **= -2.0 * s
+            out *= _unit_norm_band(f, lo, hi)
+        return out
 
-    values = _prefix_sums(hist, term, 1, bounds)
+    values = [_pairwise_sum(products, 1, b + 1) for b in bounds]
     return [SeriesPartialSum(s=s, cutoff=c, value=v, kind="parabolic")
             for c, v in zip(cutoffs, values)]
 
@@ -401,24 +411,26 @@ class SeriesVerdict:
 
 
 def convergence_verdict(f: FieldSpec, sums: list[SeriesPartialSum]) -> SeriesVerdict:
-    """The verdict on a series over f from its partial sums at >= 3 cutoffs: it
-    converges iff s > delta, its critical exponent, and diverges at s = delta
-    (Dal'bo, Otal & Peigne, Israel J. Math. 118 (2000)).  For the relative
-    series delta is 1 for PSL(2, Z) and 2 for a Bianchi group; the parabolic
-    series is the cusp stabilizer's, with delta = rank(O)/2 (Elstrodt,
-    Grunewald & Mennicke, "Groups Acting on Hyperbolic Space", 1998).  The sums
-    give data only: the last increment, and the log-log slope where every sum
-    is positive and finite.
+    """The verdict on a series over f from its partial sums at >= 3 cutoffs, two
+    of them distinct: it converges iff s > delta, its critical exponent, and
+    diverges at s = delta (Dal'bo, Otal & Peigne, Israel J. Math. 118 (2000)).
+    For the relative series delta is 1 for PSL(2, Z) and 2 for a Bianchi
+    group; the parabolic series is the cusp stabilizer's, with delta =
+    rank(O)/2 (Elstrodt, Grunewald & Mennicke, "Groups Acting on Hyperbolic
+    Space", 1998).  The sums give data only: the last increment, and the
+    log-log slope (arith._slope) where every sum is positive and finite.
     """
     if len(sums) < 3:
         raise ValueError("need partial sums at >= 3 cutoffs")
     ordered = sorted(sums, key=lambda ps: ps.cutoff)
     if len({ps.kind for ps in ordered}) > 1 or len({ps.s for ps in ordered}) > 1:
         raise ValueError("partial sums must share the same series and exponent")
+    if len({ps.cutoff for ps in ordered}) < 2:
+        raise ValueError("need partial sums at two or more distinct cutoffs")
     values = [ps.value for ps in ordered]
     slope = None
     if all(0.0 < v < math.inf for v in values):
-        slope = float(np.polyfit(np.log([ps.cutoff for ps in ordered]), np.log(values), 1)[0])
+        slope = _slope(np.log([ps.cutoff for ps in ordered]).tolist(), np.log(values).tolist())
     rank = 1 if f.is_rational else 2  # of O as a lattice
     delta = rank if ordered[0].kind == "relative" else rank / 2
     verdict = "converges" if ordered[0].s > delta else "diverges"

@@ -445,11 +445,10 @@ def ideal_divisors(f: FieldSpec, ideal: LatticeIdeal) -> list[LatticeIdeal]:
 # ----------------------------------------------------------------------
 
 # lattice points (128 KB of int64) per block of _point_blocks, rows plus cells
-# per run of ideals in _relative_norm_histograms, products per run of
-# squarefree_ideals' large primes, and cells per block of
-# geodesics._prefix_sums, which writes a series' products over its weights.
-# A block's temporaries, a few arrays of this size, are live at once beside
-# any full-size array being filled, so they add to its peak.
+# per run of ideals in _relative_norm_histograms, and products per run of
+# squarefree_ideals' large primes.  A block's temporaries, a few arrays of
+# this size, are live at once beside any full-size array being filled, so
+# they add to its peak.  _unit_norm_band takes its band width from its caller.
 _HISTOGRAM_BLOCK = 1 << 14
 
 
@@ -579,22 +578,60 @@ def count_and_sum_norms(
     return int(hits.sum()), lattice.norm * int((k * hits).sum())
 
 
-def norm_histogram(
-    f: FieldSpec, lattice: LatticeIdeal, bound: int, *, _dtype: type = np.int64
-) -> np.ndarray:
+def norm_histogram(f: FieldSpec, lattice: LatticeIdeal, bound: int) -> np.ndarray:
     """counts[n] = number of nonzero lattice elements of norm exactly n <= bound.
 
     Each block adds its norms in place (np.add.at): a bincount per block would
-    make and add a second array of bound + 1 cells for every block.  The
-    private _dtype=np.float64 counts in floats, exact below 2^53, for a caller
-    that computes in floats (the parabolic series): no int64 array and no copy.
+    make and add a second array of bound + 1 cells for every block.  On O it
+    is the oracle of _unit_norm_band, which shares only the norm form with it.
     """
-    counts = np.zeros(bound + 1, dtype=_dtype)
-    one = _dtype(1)  # a Python 1 takes np.add.at's slow casting path into floats
+    counts = np.zeros(bound + 1, dtype=np.int64)
     for u, v in _lattice_points(f, lattice, bound):
-        np.add.at(counts, norm(f, RingElement(u, v)), one)
+        np.add.at(counts, norm(f, RingElement(u, v)), 1)
     if bound >= 0:
         counts[0] = 0
+    return counts
+
+
+def _unit_norm_band(f: FieldSpec, lo: int, hi: int) -> np.ndarray:
+    """counts[k] = number of nonzero c in O with N(c) = lo + k, for the band
+    1 <= lo <= N(c) < hi, as int64: the cells [lo, hi) of norm_histogram on
+    O, with no array of hi cells.
+
+    Over Q every norm n counts 2, for +-n.  Otherwise c = u + v*omega has
+    4*N(c) = x^2 + D*v^2 with x = 2u + t*v, so the points of O are the (x, v)
+    with x = t*v mod 2, a set that x -> -x and v -> -v keep.  Only x >= 0,
+    v >= 0 is walked: a point with x, v > 0 stands for its 4 images, one on
+    either axis for 2.  On row v the band is inner < x <= outer, with outer =
+    isqrt(4*(hi - 1) - D*v^2) and inner = isqrt(4*(lo - 1) - D*v^2), or -1
+    where that is negative (x = 0 then qualifies; on the row v = 0, inner >= 0
+    since lo >= 1, which leaves out the origin), and the rows run to D*v^2 <=
+    4*(hi - 1).  One bincount of the walked points counts the band.  Exact
+    in int64 for hi below 2^60 (see _rows_norm_le).
+    """
+    if f.is_rational:
+        return np.full(hi - lo, 2, dtype=np.int64)
+    v = np.arange(isqrt(4 * (hi - 1) // f.D) + 1, dtype=np.int64)
+    dv2 = f.D * v * v
+    outer = _isqrt(4 * (hi - 1) - dv2)
+    inner = 4 * (lo - 1) - dv2
+    inner = np.where(inner < 0, -1, _isqrt(np.maximum(inner, 0)))
+    first = inner + 1
+    first += (first - f.t * v) % 2  # x of the row's parity
+    count = np.maximum((outer - first) // 2 + 1, 0)
+    start = np.cumsum(count) - count
+    # a point's cell N(c) - lo = (x^2 + D*v^2 - 4*lo) / 4, built in place
+    cell = np.arange(int(start[-1] + count[-1]), dtype=np.int64)
+    cell *= 2
+    cell += np.repeat(first - 2 * start, count)  # x
+    cell *= cell
+    cell += np.repeat(dv2 - 4 * lo, count)
+    cell >>= 2
+    counts = np.bincount(cell, minlength=hi - lo)
+    counts *= 4
+    # on an axis a point stands for 2 images: the row v = 0, and x = 0 on the others
+    np.subtract.at(counts, cell[: count[0]], 2)
+    np.subtract.at(counts, cell[start[first == 0]], 2)
     return counts
 
 

@@ -212,8 +212,11 @@ def test_poincare_verdicts_near_the_thresholds(tmp_path, field, s, relative, par
 
 
 def test_poincare_builds_each_series_once(tmp_path, monkeypatch):
-    # one run of the phi increments and one lattice histogram at the largest
-    # cutoff serve every smaller cutoff
+    # one run of the phi increments at the largest cutoff serves every smaller
+    # cutoff; the parabolic counts come in bands of norms of at most one sum
+    # block, which together cover the norms 1 to 40^2
+    from horocount import field
+
     calls = []
 
     def spy(name, fn):
@@ -224,7 +227,7 @@ def test_poincare_builds_each_series_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(geodesics, "_increments", spy("_increments", geodesics._increments))
     monkeypatch.setattr(
-        geodesics, "norm_histogram", spy("norm_histogram", geodesics.norm_histogram)
+        geodesics, "_unit_norm_band", spy("_unit_norm_band", geodesics._unit_norm_band)
     )
     code, doc = run_json(
         tmp_path, ["poincare", "--field", "d=1", "--cutoffs", "10,20,40", "--s", "1.5"]
@@ -233,9 +236,10 @@ def test_poincare_builds_each_series_once(tmp_path, monkeypatch):
     assert [(r["kind"], r["x_or_t"]) for r in doc["rows"]] == [
         (kind, c) for c in (10.0, 20.0, 40.0) for kind in ("relative", "parabolic")
     ]
-    assert sorted(name for name, _ in calls) == ["_increments", "norm_histogram"]
-    assert dict(calls)["_increments"][0] == 40
-    assert dict(calls)["norm_histogram"][1] == 1600
+    assert [args for name, args in calls if name == "_increments"] == [(40, "auto")]
+    bands = [args for name, args in calls if name == "_unit_norm_band"]
+    assert bands and all(1 <= lo < hi <= lo + field._SUM_BLOCK for lo, hi in bands)
+    assert set().union(*(range(lo, hi) for lo, hi in bands)) == set(range(1, 1601))
 
 
 def test_poincare_underflow_is_strict_json(tmp_path, schema):
@@ -401,7 +405,8 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         # zeta and classnum read no cutoffs
         (["zeta", "--field", "1", "--cutoffs", "10"], "stray-cutoffs"),
         (["classnum", "--field", "rational", "--cutoffs", "10"], "stray-cutoffs"),
-        # the parabolic histogram (182 TiB) is refused before any PASS line
+        # 2.5 * 10^13 parabolic terms, past the work budget of one series:
+        # refused before any PASS line
         (["verify", "--field", "1", "--cutoffs", "5000000"], "too-large"),
         # every cutoff snaps to one norm bound: three equal sums read as converging
         (["poincare", "--field", "rational", "--cutoffs", "2,2.1,2.2", "--s", "0.3"], "bad-cutoffs"),
@@ -413,6 +418,8 @@ def test_error_paths_exit_nonzero(tmp_path, capsys, argv):
         (["count", "--field", "1", "--cutoffs", "1,x"], "bad-cutoffs"),
         # --cutoffs glues on a value that starts "-<digit>", never an option
         (["depths", "--field", "1", "--cutoffs", "--s", "2"], "bad-arguments"),
+        # a parabolic norm bound of 1.6 * 10^9, past the 2^30 terms of one series
+        (["poincare", "--field", "1", "--cutoffs", "10,20,40000", "--s", "1.5"], "too-large"),
     ],
 )
 @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning is stray stderr text

@@ -315,11 +315,12 @@ def test_kernel_outputs_are_python_ints(d):
 
 @pytest.mark.parametrize("d", ["rational", 1, 3, 5, 23])
 def test_block_boundaries_change_nothing(d, monkeypatch):
-    """Blocks of 1, 7 and 64 points cut rows and runs of ideals everywhere, and
-    blocks of as many cells cut the series' products: every kernel that reads the
-    row expander must give its default result, and each series sum its bits.
-    geodesics binds _HISTOGRAM_BLOCK by name, so it is patched there too."""
-    from horocount import geodesics, ideals
+    """Blocks of 1, 7 and 64 points cut rows and runs of ideals everywhere:
+    every kernel that reads the row expander must give its default result.
+    Sum blocks of 128 (numpy's pairwise base case), 136 and 1000 terms cut
+    zeta's series and both Poincare series into other bands: each sum must
+    keep its bits."""
+    from horocount import field, geodesics, ideals
 
     f = make_field(d)
     prime = prime_ideals_above(f, 3)[0]
@@ -335,12 +336,22 @@ def test_block_boundaries_change_nothing(d, monkeypatch):
             [ps.value.hex() for ps in geodesics.parabolic_poincare_partials(f, 1.7, [5, 12, 20])],
         )
 
-    default = outputs()
+    def sums():
+        return (
+            field.zeta_K_2.__wrapped__(f, 1e-8).hex(),  # uncached
+            [ps.value.hex() for ps in geodesics.relative_poincare_partials(f, 1.7, [50, 900, 4000])],
+            [ps.value.hex() for ps in geodesics.parabolic_poincare_partials(f, 1.7, [9, 30, 70])],
+        )
+
+    default, default_sums = outputs(), sums()
     assert default[4] == phi_profile(f, 400, "brute")
     for block in (1, 7, 64):
         monkeypatch.setattr(ideals, "_HISTOGRAM_BLOCK", block)
-        monkeypatch.setattr(geodesics, "_HISTOGRAM_BLOCK", block)
         assert outputs() == default, block
+    monkeypatch.undo()
+    for block in (128, 136, 1000):
+        monkeypatch.setattr(field, "_SUM_BLOCK", block)
+        assert sums() == default_sums, block
 
 
 # ----------------------------------------------------------------------

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from horocount import counting, geodesics, ideals
+from horocount import counting, field, geodesics
+from horocount.arith import _slope
 from horocount.counting import phi, phi_profile, resolve_method, unit_orbit_reps
 from horocount.field import (
     RingElement,
@@ -175,12 +176,49 @@ def test_growth_rate_runs_one_kernel(Q, K1, monkeypatch):
     for f, scale in ((Q, 2), (K1, 1)):
         grid = [scale * math.log(x) for x in (50, 100, 200, 400)]
         per_t = [depth_counting(f, t) for t in grid]
-        slope = float(np.polyfit(np.asarray(grid), np.log(np.asarray(per_t, float)), 1)[0])
+        slope = _slope(grid, np.log(np.asarray(per_t, float)).tolist())
         calls.clear()
         monkeypatch.setattr(counting, "_increments", lambda *a: calls.append(a) or real(*a))
         assert growth_rate(f, grid) == slope
         assert len(calls) == 1
         monkeypatch.undo()
+
+
+def _exact_slope(xs, ys):
+    """The least-squares slope of the float points, in Fractions, then rounded."""
+    xs, ys = [Fraction(x) for x in xs], [Fraction(y) for y in ys]
+    mx, my = sum(xs) / len(xs), sum(ys) / len(ys)
+    return float(sum((x - mx) * (y - my) for x, y in zip(xs, ys))
+                 / sum((x - mx) ** 2 for x in xs))
+
+
+def _assert_within_two_ulps(got, xs, ys):
+    exact = _exact_slope(xs, ys)
+    assert abs(got - exact) <= 2 * math.ulp(exact), (got, exact)
+
+
+@pytest.mark.parametrize("d, cutoffs", [("rational", [500, 1000, 2000]), (1, [100, 200, 400])])
+@pytest.mark.parametrize("s", [0.4, 1.5, 2.7, 3.5])
+def test_growth_exponent_is_the_exact_slope(d, cutoffs, s):
+    # np.polyfit's LAPACK fit was 2.7 * 10^7 ulps off at Q, s = 2.7 and gave
+    # the wrong sign at Q, s = 3.5, where the converging sums barely move
+    f = make_field(d)
+    for partials in (relative_poincare_partials, parabolic_poincare_partials):
+        sums = partials(f, s, cutoffs)
+        got = convergence_verdict(f, sums).growth_exponent
+        _assert_within_two_ulps(got, np.log(cutoffs).tolist(),
+                                np.log([ps.value for ps in sums]).tolist())
+
+
+def test_growth_rate_and_exponent_estimate_are_the_exact_slope(Q, K1):
+    for f, scale in ((Q, 2), (K1, 1)):
+        grid = [scale * math.log(x) for x in (50, 100, 200, 400, 800)]
+        counts = [depth_counting(f, t) for t in grid]
+        _assert_within_two_ulps(growth_rate(f, grid), grid, np.log(counts).tolist())
+        xs = [37, 100, 250.5, 1000]
+        samples = [counting.CountSample(x, phi(f, x), "auto", f) for x in xs]
+        _assert_within_two_ulps(counting.exponent_estimate(samples), np.log(xs).tolist(),
+                                np.log([float(ps.phi) for ps in samples]).tolist())
 
 
 def test_growth_rate_rejects_bad_grid(Q):
@@ -555,7 +593,7 @@ def test_series_partials_equal_the_one_pass_formulas(d, s):
     _assert_equal_to_the_one_pass_formulas(d, s, [7, 20, 60])
 
 
-_BLOCK = ideals._HISTOGRAM_BLOCK
+_BLOCK = field._SUM_BLOCK
 
 
 @pytest.mark.parametrize(
@@ -592,19 +630,20 @@ def test_series_partials_within_the_pairwise_bound_of_fsum(d, s):
             assert abs(ps.value - exact) <= bound, (plural.__name__, ps.cutoff)
 
 
-def test_parabolic_working_memory_is_one_array(K1, traced_peak_mb):
-    # top = 640 000: one float64 array of top + 1 cells, the histogram with
-    # the products written over it, is 5.12 MB, and two are 10.24 MB; with a
-    # full array of terms beside it the peak was 10.5 MB
-    assert traced_peak_mb(lambda: parabolic_poincare_partials(K1, 1.7, [200, 400, 800])) < 8
+def test_parabolic_working_memory_is_bounded(K1, traced_peak_mb):
+    # tops 640 000 and 4 * 10^6: a band's arrays hold at most _SUM_BLOCK
+    # cells or one entry per lattice row, whatever the top.  With the norm
+    # histogram as one float64 array of top + 1 cells the peaks were 5.99 and
+    # 32.98 MB
+    for cutoffs in ([200, 400, 800], [2000]):
+        assert traced_peak_mb(lambda: parabolic_poincare_partials(K1, 1.7, cutoffs)) < 2
 
 
-def test_relative_working_memory_is_two_arrays(Q, traced_peak_mb):
-    # top = 10^6: two arrays of top + 1 cells are 16 MB.  The products are
-    # written over the float64 weights, but the peak is the moment the int64
-    # increments are cast to them, when both are live; with n a third full
-    # array the peak was 24 MB
-    assert traced_peak_mb(lambda: relative_poincare_partials(Q, 1.5, [10**6])) < 18
+def test_relative_working_memory_is_one_array(Q, traced_peak_mb):
+    # top = 10^6: the int64 increments, top + 1 cells, are 8 MB, and the
+    # products are built a block at a time beside them.  With a float64 copy
+    # of the increments the peak was 16 MB
+    assert traced_peak_mb(lambda: relative_poincare_partials(Q, 1.5, [10**6])) < 12
 
 
 def test_relative_series_rational_s2(Q):
@@ -695,6 +734,9 @@ def test_verdict_protocol_attached_and_cases(Q, K1):
         convergence_verdict(Q, mk(1.5, [1.0, 2.0], [10, 20]))
     with pytest.raises(ValueError):
         convergence_verdict(Q, mk(1.5, [1.0, 2.0, 3.0])[:2] + mk(2.5, [4.0], [40]))
+    for vals in ([1.0, 2.0, 3.0], [0.0, 0.0, 0.0]):  # with a slope to fit, and without
+        with pytest.raises(ValueError):
+            convergence_verdict(Q, mk(1.5, vals, [10, 10, 10]))
 
 
 def test_verdict_without_slope_on_nonpositive_sums(K1):

@@ -604,6 +604,22 @@ def test_norm_histogram_matches_enumeration(d):
             assert (relative == hist[:: lattice.norm]).all()
 
 
+@pytest.mark.parametrize("d", ["rational", 1, 2, 3, 5, 7, 23])
+def test_unit_norm_band_is_the_histograms_slice(d):
+    # bands from norm 1, of width 1, across square norms and at random, each
+    # against the lattice walk of norm_histogram up to the band's last norm
+    from horocount.ideals import _unit_norm_band
+
+    f = make_field(d)
+    rng = random.Random(20261021)
+    bands = [(1, 2), (1, 3), (1, 700), (2, 3), (4, 5), (9, 10), (25, 26), (24, 49), (600, 601)]
+    bands += [(lo, lo + rng.randint(1, 200)) for lo in rng.sample(range(1, 600), 25)]
+    for lo, hi in bands:
+        want = norm_histogram(f, unit_ideal(f), hi - 1)[lo:hi]
+        got = _unit_norm_band(f, lo, hi)
+        assert got.shape == want.shape and (got == want).all(), (lo, hi)
+
+
 @pytest.mark.parametrize("d", ["rational", 1, 5])
 def test_negative_bounds_give_empty_results(d):
     f = make_field(d)
