@@ -3,8 +3,9 @@
 Exact integer math: sieves, modular roots and powers, factorization of
 machine-sized integers, and multiplicative_fill, the one segmented sieve behind
 every multiplicative table of the package; _norm_bound, the one path from a
-float cutoff to its integer norm bound; and _slope, the one least-squares
-slope.  No field logic.
+float cutoff to its integer norm bound; _slope, the one least-squares
+slope; and _mod, the residue of an int64 array by a positive int.  No field
+logic.
 """
 
 from __future__ import annotations
@@ -55,6 +56,22 @@ def _slope(xs: list[float], ys: list[float]) -> float:
     mx, my = fsum(xs) / len(xs), fsum(ys) / len(ys)
     dx = [x - mx for x in xs]
     return fsum(d * (y - my) for d, y in zip(dx, ys)) / fsum(d * d for d in dx)
+
+
+def _mod(x: np.ndarray, n: int) -> np.ndarray:
+    """x mod n for an int64 array x and an int n, 0 < n <= 2^62: the values
+    and dtype of x % n, as x - (x // n) * n, computed in the one array that
+    % would return.
+
+    numpy divides an int64 array by one int through a multiplication by its
+    precomputed inverse, but takes % by dividing cell by cell: for a box of
+    2 899 cells the floor division, product and difference take about 6 us,
+    % about 12 us (numpy 2.4, one core of a 2-vCPU Xeon VM).  (x // n) * n
+    lies in (x - n, x], so nothing overflows unless x is within n of -2^63.
+    """
+    out = np.floor_divide(x, n, out=np.empty_like(x))
+    out *= n
+    return np.subtract(x, out, out=out)
 
 
 def _power_mod(base: np.ndarray, exponent, p) -> np.ndarray:

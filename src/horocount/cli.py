@@ -237,7 +237,7 @@ def _verify_checks(f: FieldSpec, bound: int):
     """Yield (name, passed, detail) for each property check.
 
     Each check compares two independent rules:
-    * phi-cross-method: the brute (ring_totient per q), mobius and, if h = 1, sieve profiles;
+    * phi-cross-method: the brute (coprime boxes by norm), mobius and, if h = 1, sieve profiles;
     * zeta-pipelines: zeta_K(2) by the character series and by the ideal-count fill;
     * character-coefficients (not over Q): the fill's a_p (_splitting_kinds) and 1 + chi(p);
     * totient-product: ring_totient, the brute route's Phi(q), and the Euler product;

@@ -11,10 +11,12 @@ terms by the increments themselves.  Where two methods apply they must agree
 integer-for-integer:
 
 * brute -- for one denominator q per unit orbit, Q included, count the
-  coprime residues of ideals.coprime_box(f, q) (ideals.ring_totient), which
-  reads the gcd of each cell's minors with N(q) from a table of gcd(k, N(q));
-  every field.  It is the oracle, so it shares no logic with the other two:
-  no primes, no factorization, no sieve;
+  coprime residues of its box, ideals.coprime_box(f, q), which reads the gcd
+  of each cell's minors with N(q) from a table of gcd(k, N(q)); every field.
+  The representatives of one norm n share one run of ideals._pair_norm_boxes:
+  one table for n, one lookup of the first minor N(p) per box shape, and one
+  of det(p, q) per q, each residue by arith._mod.  It is the oracle, so it
+  shares no logic with the other two: no primes, no factorization, no sieve;
 * mobius -- phi(x) = sum over squarefree ideals I of mu(I) * T_I(x) / N(I),
   with T_I(x) the norm sum over principal ideals inside I; every field, Q
   included.  ideals.squarefree_ideals builds them as int64 HNF arrays by the
@@ -31,6 +33,8 @@ resolve_method maps 'auto' to the sieve wherever h = 1 and to mobius
 elsewhere, and rejects a method the field does not support.
 
 Int64 ceilings:
+* the brute box's largest minor, N(p), is below (d + 2) * N(q)^2, so the box
+  is exact for N(q) below 3 * 10^9 / sqrt(d + 2) (ideals.coprime_box);
 * the squarefree ideals' HNF entries are at most x, and the CRT step
   multiplies residues below a prime p <= x, so they are exact for x below
   3.03 * 10^9;
@@ -48,6 +52,7 @@ from __future__ import annotations
 
 import sys
 import warnings
+from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +71,10 @@ from .field import (
 )
 from .ideals import (
     LatticeIdeal,
+    _pair_norm_boxes,
     _lattice_points,
     _relative_norm_histograms,
     count_and_sum_norms,
-    ring_totient,
     squarefree_ideals,
     unit_ideal,
 )
@@ -108,11 +113,17 @@ def unit_orbit_reps(f: FieldSpec, x: float) -> list[RingElement]:
 
 
 def _brute_increments(f: FieldSpec, bound: int) -> np.ndarray:
-    """inc[n] = sum of Phi(q) over orbit representatives with N(q) = n, Phi(q) by
-    ring_totient, which verify's totient-product compares with the Euler product."""
-    inc = np.zeros(bound + 1, dtype=np.int64)
+    """inc[n] = sum of Phi(q) over orbit representatives with N(q) = n, Phi(q)
+    the cells of q's box where N((p, q)) = 1, the true cells of coprime_box,
+    which ring_totient counts and verify's totient-product compares with the
+    Euler product; the representatives of one norm share one run of
+    ideals._pair_norm_boxes."""
+    by_norm = defaultdict(list)
     for q in unit_orbit_reps(f, bound):
-        inc[norm(f, q)] += ring_totient(f, q)
+        by_norm[norm(f, q)].append(q)
+    inc = np.zeros(bound + 1, dtype=np.int64)
+    for n, qs in by_norm.items():
+        inc[n] = sum(np.count_nonzero(norms == 1) for _, norms in _pair_norm_boxes(f, n, qs))
     return inc
 
 

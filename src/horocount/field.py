@@ -20,7 +20,7 @@ from math import gcd, isqrt
 
 import numpy as np
 
-from .arith import _power_mod, is_squarefree, multiplicative_fill
+from .arith import _mod, _power_mod, is_squarefree, multiplicative_fill
 
 RATIONAL = "rational"
 IMAGINARY_QUADRATIC = "imaginary_quadratic"
@@ -334,7 +334,7 @@ def zeta_K_2(f: FieldSpec, tol: float = 1e-10) -> float:
 
     def terms(lo: int, hi: int) -> np.ndarray:
         k = np.arange(lo, hi, dtype=np.int64)
-        return chi[k % f.D] / (k.astype(np.float64) ** 2)
+        return chi[_mod(k, f.D)] / (k.astype(np.float64) ** 2)
 
     return _ZETA2 * _pairwise_sum(terms, 1, n_terms + 1)
 

@@ -24,7 +24,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .arith import _norm_bound, _power_mod, factorize, primes_up_to, sqrt_mod_prime, xgcd
+from .arith import _mod, _norm_bound, _power_mod, factorize, primes_up_to, sqrt_mod_prime, xgcd
 from .field import (
     FieldSpec,
     RingElement,
@@ -189,7 +189,13 @@ def _pair_minors(f: FieldSpec, p: RingElement, q: RingElement) -> tuple:
     """
     if f.is_rational:
         return p.a, q.a
-    return norm(f, p), norm(f, q), p.a * q.b - q.a * p.b
+    return norm(f, p), norm(f, q), _cross(p, q)
+
+
+def _cross(p: RingElement, q: RingElement):
+    """det(p, q) = p.a * q.b - q.a * p.b, the minor of p and q in the basis
+    (1, omega)."""
+    return p.a * q.b - q.a * p.b
 
 
 def pair_ideal_norm(f: FieldSpec, p: RingElement, q: RingElement) -> int:
@@ -214,13 +220,52 @@ def reduce_mod(f: FieldSpec, x: RingElement, ideal: LatticeIdeal) -> RingElement
 
 def _gcd_table(n: int) -> np.ndarray:
     """t[k] = gcd(k, n) for 0 <= k < n, as int64: each divisor e of n, in
-    ascending order, written into t[::e] (see coprime_box), with the divisors
-    from trial division up to isqrt(n)."""
+    ascending order, written into t[::e], so the largest divisor of n that
+    divides k is written last; the divisors come from trial division up to
+    isqrt(n).  The brute oracle builds one per norm (_pair_norm_boxes)."""
     low = [e for e in range(1, isqrt(n) + 1) if n % e == 0]
     table = np.empty(n, dtype=np.int64)
     for e in low + [n // e for e in reversed(low) if e * e != n]:
         table[::e] = e
     return table
+
+
+def _pair_norm_boxes(
+    f: FieldSpec, n: int, qs: Iterable[RingElement]
+) -> Iterator[tuple[RingElement, np.ndarray]]:
+    """(q, norms) for each q of qs, all of norm n, with norms[y, x] =
+    N((x + y*omega, q)) over the box of coprime_box(f, q), whose true cells
+    are where it is 1; the qs grouped by the shape of their box.
+
+    t = _gcd_table(n) is built once.  Over Q the box of (n) is the row
+    0 <= x < n, and the norms are t itself.  Over a field the box of q
+    depends on q only through its shape: gamma divides n, and alpha = n /
+    gamma.  So the first minor, t[N(p) mod n], is looked up once per shape;
+    a gamma = 1 box is the 1-D row of x, with y = 0.  Each q then reads only
+    t[det(p, q) mod n], and its norms are the gcd of the two lookups.  Every
+    residue goes through arith._mod, which divides by n through a
+    multiplication, in about half the time of %.
+
+    One shape's arrays are alive at a time, the caller makes each mask, and
+    boxes stay one denominator at a time.  Keeping every shape's first minor
+    to the end of the norm, or yielding the masks, which left two alive at
+    once for numpy's small-block cache to keep, raised the peak memory of
+    the brute kernel; so did stacking a norm's boxes into one array.
+    """
+    table = _gcd_table(n)
+    shapes: dict[int, list[RingElement]] = {}
+    for q in qs:
+        shapes.setdefault(principal_ideal(f, q).gamma, []).append(q)
+    for gamma, group in shapes.items():
+        if f.is_rational:
+            yield from ((q, table[None, :]) for q in group)
+            continue
+        x = np.arange(n // gamma, dtype=np.int64)  # gamma divides alpha in an HNF
+        p = RingElement(x, 0) if gamma == 1 else RingElement(x[None, :], x[:gamma, None])
+        first = table[_mod(norm(f, p), n)]
+        for q in group:
+            norms = np.gcd(first, table[_mod(_cross(p, q), n)])
+            yield q, (norms if gamma > 1 else norms[None, :])
 
 
 def coprime_box(f: FieldSpec, q: RingElement) -> np.ndarray:
@@ -231,31 +276,24 @@ def coprime_box(f: FieldSpec, q: RingElement) -> np.ndarray:
     pair_ideal_norm on the whole box at once, with int64 arrays for the
     coordinates of p, and a gcd table in place of Euclid per cell.  N = N(q)
     is one of the minors, so N((p, q)), the gcd of the minors, is the gcd of
-    the gcd(minor, N), which t = _gcd_table(N) holds at minor mod N:
-    t[k] = gcd(k, N) because each divisor of N is written into t[::e] in
-    ascending order, so the largest divisor of N that divides k is written
-    last.  The minor N(q) itself is skipped, since t[0] = N adds nothing.
-    Over Q a cell is coprime iff t[x] == 1; otherwise iff
-    gcd(t[N(p) mod N], t[det(p, q) mod N]) == 1, a short gcd of two divisors
-    of N.  The table holds N cells, as many as the box.
+    the gcd(minor, N), which t = _gcd_table(N) holds at minor mod N.  The
+    minor N(q) itself is skipped, since t[0] = N adds nothing.  Over Q a cell
+    is coprime iff t[x] == 1; otherwise iff gcd(t[N(p) mod N], t[det(p, q)
+    mod N]) == 1, a short gcd of two divisors of N.  The table holds N cells,
+    as many as the box.  This is the one-denominator case of
+    _pair_norm_boxes, which the brute oracle runs once per norm: one table
+    per norm, one first-minor lookup per box shape.
 
     This is the brute oracle of counting, and it shares no logic with the
-    Moebius route or the sieve: it reads the minors of _pair_minors and a
-    table whose divisors come from trial division, never a prime, a prime
-    ideal, a factorization, a Moebius value or a multiplicative fill.  The
-    largest minor, N(p), is below (d + 2) * N(q)^2 on the box, so int64 is
-    exact for N(q) below 3 * 10^9 / sqrt(d + 2).
+    Moebius route or the sieve: it reads the minors of _pair_minors
+    (field.norm and _cross) and a table whose divisors come from trial
+    division, never a prime, a prime ideal, a factorization, a Moebius value
+    or a multiplicative fill.  The largest minor, N(p), is below
+    (d + 2) * N(q)^2 on the box; it is never negative, and _mod is exact on
+    every nonnegative int64, so the box is exact for N(q) below
+    3 * 10^9 / sqrt(d + 2).
     """
-    ideal = principal_ideal(f, q)
-    n = ideal.norm
-    r = np.arange(ideal.alpha, dtype=np.int64)  # gamma divides alpha in an ideal's HNF
-    p = RingElement(r[None, :], r[: ideal.gamma, None])
-    table = _gcd_table(n)
-    first, _, *rest = _pair_minors(f, p, q)  # the second, N(q), has t[0] = N
-    common = table[first % n]
-    for minor in rest:
-        common = np.gcd(common, table[minor % n])
-    return common == 1
+    return next(_pair_norm_boxes(f, norm(f, q), [q]))[1] == 1
 
 
 def ring_totient(f: FieldSpec, q: RingElement) -> int:

@@ -6,9 +6,10 @@ import pytest
 
 from horocount.field import make_field
 
-# Seconds one test's call may take before the run ends, with the stack of every
-# thread on stderr, so that a test stuck in a loop fails the suite instead of
-# hanging it.  The slowest call took 2.5 s on one pinned CPU of a 2-vCPU VM
+# Seconds one test's setup, call or teardown may take before the run ends,
+# with the stack of every thread on stderr, so that a test or fixture stuck in
+# a loop fails the suite instead of hanging it.  The slowest call took 2.5 s
+# on one pinned CPU of a 2-vCPU VM, and every setup and teardown less
 # (--durations): 60 leaves a margin of 24x for a slow host.
 TEST_TIMEOUT_S = 60
 
@@ -21,13 +22,27 @@ def pytest_configure(config):
     config.stash[_STDERR] = os.dup(2)
 
 
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
+def _guarded(item):
     faulthandler.dump_traceback_later(TEST_TIMEOUT_S, exit=True, file=item.config.stash[_STDERR])
     try:
         yield
     finally:
         faulthandler.cancel_dump_traceback_later()
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_setup(item):
+    yield from _guarded(item)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    yield from _guarded(item)
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_teardown(item):
+    yield from _guarded(item)
 
 
 @pytest.fixture(scope="session")

@@ -62,7 +62,9 @@ BENCH = [
 ]
 
 # every command once as CSV, and the edge cutoffs: a depth below 0 and below
-# 1, a cutoff one ulp under an integer
+# 1, a cutoff one ulp under an integer, a depth t = log 7 whose e^t is one ulp
+# under 7, and parabolic cutoffs sqrt(3) and sqrt(7), whose squares are one
+# ulp under 3 and over 7
 EDGES = [
     ["count", "--field", "5", "--cutoffs", "100,200", "--method", "both", "--format", "csv"],
     ["zeta", "--field", "7", "--format", "csv"],
@@ -76,6 +78,8 @@ EDGES = [
     ["verify", "--field", "2", "--cutoffs", "20", "--format", "csv"],
     ["count", "--field", "1", "--cutoffs", "9.999999999999998,20"],
     ["count", "--field", "rational", "--cutoffs", "0.9999999999999999,2"],
+    ["depths", "--field", "1", "--cutoffs", "1.9459101490553132"],
+    ["poincare", "--field", "1", "--cutoffs", "1.7320508075688772,2.6457513110645907", "--s", "1.5"],
 ]
 
 # one argv for each typed error code an argv reaches (invalid-request is

@@ -1,4 +1,5 @@
-"""The one multiplicative fill, checked against trial-division factorization."""
+"""The one multiplicative fill, checked against trial-division factorization,
+and _mod against %."""
 
 import math
 import random
@@ -6,6 +7,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from horocount import arith
 from horocount.arith import factorize, multiplicative_fill
@@ -62,3 +64,18 @@ def test_is_squarefree_matches_factorize(base, square, seed):
     # cases carry a square factor by construction (seed 1 does, seed 0 not)
     n = base * (square * square if random.Random(seed).random() < 0.5 else square)
     assert arith.is_squarefree(n) == all(e == 1 for _, e in factorize(n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    x=hnp.arrays(np.int64, hnp.array_shapes(min_dims=0, max_dims=2, max_side=40),
+                 elements=st.integers(-2**62, 2**62)),
+    n=st.integers(1, 2**31),
+)
+@example(x=np.array([-2**62, -1, 0, 1, 2**62], dtype=np.int64), n=1)
+@example(x=np.array([-2**62, -2**31, -1, 2**31 - 1, 2**62], dtype=np.int64), n=2**31)
+@example(x=np.array([[-7, 7], [-3, 3]], dtype=np.int64), n=3)
+def test_mod_is_percent(x, n):
+    got, want = arith._mod(x, n), x % n
+    assert got.dtype == want.dtype == np.int64
+    assert np.array_equal(got, want)

@@ -1,10 +1,13 @@
-"""The suite's own guard: a test whose call outlasts conftest.TEST_TIMEOUT_S
-ends the run, with a nonzero exit and the stacks on stderr."""
+"""The suite's own guard: a test whose call, or a fixture whose setup or
+teardown, outlasts conftest.TEST_TIMEOUT_S ends the run, with a nonzero exit
+and the stacks on stderr."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import horocount
 
@@ -21,10 +24,26 @@ _RUN = (
 )
 
 
-def test_a_test_past_the_timeout_ends_the_run(tmp_path):
-    (tmp_path / "test_sleeps.py").write_text("import time\n\n\ndef test_sleeps():\n    time.sleep(30)\n")
+def _run_guarded(tmp_path, source):
+    (tmp_path / "test_sleeps.py").write_text(source)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(map(str, (_TESTS, _PACKAGE_ROOT))))
-    done = subprocess.run([sys.executable, "-c", _RUN, str(tmp_path)], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, "-c", _RUN, str(tmp_path)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=25)
+
+
+def test_a_test_past_the_timeout_ends_the_run(tmp_path):
+    done = _run_guarded(tmp_path, "import time\n\n\ndef test_sleeps():\n    time.sleep(30)\n")
     assert done.returncode != 0
     assert "Timeout" in done.stderr and "test_sleeps" in done.stderr
+
+
+@pytest.mark.parametrize("where", ["setup", "teardown"])
+def test_a_fixture_past_the_timeout_ends_the_run(tmp_path, where):
+    sleep_before, sleep_after = ("time.sleep(30)", "pass") if where == "setup" else ("pass", "time.sleep(30)")
+    done = _run_guarded(tmp_path, (
+        "import time\n\nimport pytest\n\n\n@pytest.fixture\ndef sleeps():\n"
+        f"    {sleep_before}\n    yield\n    {sleep_after}\n\n\n"
+        "def test_uses_a_fixture(sleeps):\n    pass\n"
+    ))
+    assert done.returncode != 0
+    assert "Timeout" in done.stderr and "in sleeps" in done.stderr  # the fixture's frame

@@ -22,6 +22,7 @@ from horocount.cli import _cmd_depths, build_config
 from horocount.counting import (
     METHODS,
     CountSample,
+    _brute_increments,
     S_count,
     T_sum,
     exponent_estimate,
@@ -52,6 +53,7 @@ from horocount.ideals import (
     norm_histogram,
     prime_ideals_above,
     principal_ideal,
+    ring_totient_product,
     unit_ideal,
 )
 
@@ -189,6 +191,45 @@ def test_mobius_equals_brute_every_class_number(d):
     else:
         with pytest.raises(UnsupportedFieldError):
             phi_profile(f, 400, method="sieve")
+
+
+# the brute kernel runs ideals._pair_norm_boxes once per norm on these fields
+KERNEL_FIELDS = ["rational", 1, 2, 3, 5, 7, 23]
+KERNEL_BOUND = 600
+
+
+def _reps_by_norm(f, bound):
+    by_norm = {}
+    for q in unit_orbit_reps(f, bound):
+        by_norm.setdefault(norm(f, q), []).append(q)
+    return by_norm
+
+
+def test_kernel_fields_share_norms_and_have_tall_boxes():
+    """The cases below hold a norm with at least three representatives, whose
+    boxes share one gcd table, and a box with gamma > 1, a 2-D box."""
+    fields = [make_field(d) for d in KERNEL_FIELDS]
+    assert max(len(qs) for f in fields for qs in _reps_by_norm(f, KERNEL_BOUND).values()) >= 3
+    assert any(principal_ideal(f, q).gamma > 1 for f in fields for q in unit_orbit_reps(f, KERNEL_BOUND))
+
+
+@pytest.mark.parametrize("d", KERNEL_FIELDS)
+def test_brute_increments_are_euler_products_by_norm(d):
+    f = make_field(d)
+    want = np.zeros(KERNEL_BOUND + 1, dtype=np.int64)
+    for n, qs in _reps_by_norm(f, KERNEL_BOUND).items():
+        want[n] = sum(ring_totient_product(f, q) for q in qs)
+    assert np.array_equal(_brute_increments(f, KERNEL_BOUND), want)
+
+
+@pytest.mark.parametrize("d", KERNEL_FIELDS)
+def test_brute_increments_build_one_gcd_table_per_norm(d, monkeypatch):
+    f = make_field(d)
+    built = []
+    real = ideals._gcd_table
+    monkeypatch.setattr(ideals, "_gcd_table", lambda n: built.append(n) or real(n))
+    _brute_increments(f, KERNEL_BOUND)
+    assert sorted(built) == sorted(_reps_by_norm(f, KERNEL_BOUND))
 
 
 # the prime, factorization, sieve and fill helpers of the other two routes

@@ -350,6 +350,16 @@ def test_zeta_blocks_sum_to_the_one_array_sum(d, tol, n_terms):
     assert zeta_K_2.__wrapped__(f, tol).hex() == want.hex()
 
 
+@pytest.mark.parametrize("d", ["rational", 1, 2, 3, 7, 107, 123])
+def test_zeta_character_index_keeps_its_bits(d, monkeypatch):
+    """The character is read at arith._mod(k, D), the same integer as k % D, so
+    every value is the % formula's to the last bit."""
+    f = make_field(d)
+    got = [zeta_K_2.__wrapped__(f, tol).hex() for tol in (1e-8, 1e-10, 1e-12)]
+    monkeypatch.setattr(field_module, "_mod", lambda x, n: x % n)
+    assert got == [zeta_K_2.__wrapped__(f, tol).hex() for tol in (1e-8, 1e-10, 1e-12)]
+
+
 def test_zeta_working_memory_is_one_block(traced_peak_mb):
     # the one-array sum of these 769 530 terms peaked near 24 MB
     K107 = make_field(107)

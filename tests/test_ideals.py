@@ -253,18 +253,21 @@ def _five_smooth(n):
 
 def _hard_denominators(f):
     """Denominators whose norms have many divisors or are prime powers: the
-    highly composite rational ones, the 5-smooth norms 500..1000 of
-    unit_orbit_reps over a field, and 27 (N = 729)."""
+    highly composite rational ones, every fourth of the 5-smooth norms
+    500..1000 of unit_orbit_reps over a field, 27 (N = 729) and 30 (N = 900)."""
     from horocount.counting import unit_orbit_reps
 
     if f.is_rational:
         return [RingElement(q, 0) for q in (360, 720, 2520)]
     smooth = [q for q in unit_orbit_reps(f, 1000) if norm(f, q) >= 500 and _five_smooth(norm(f, q))]
-    return smooth[::4] + [RingElement(27, 0)]
+    return smooth[::4] + [RingElement(27, 0), RingElement(30, 0)]
 
 
-@pytest.mark.parametrize("d", ["rational", 1, 2])
+@pytest.mark.parametrize("d", ["rational", 1, 2, 3, 7])
 def test_coprime_box_on_hard_norms(d):
+    """d = 3 and 7 have omega = (1 + sqrt(-d))/2, so t = 1 enters N(p); over
+    d = 7, where 2 splits, the norms 512 include gamma = 1 boxes, which
+    _pair_norm_boxes computes on a 1-D row."""
     f = make_field(d)
     qs = _hard_denominators(f)
     assert len(qs) >= 3 and any(norm(f, q) >= 900 for q in qs)
